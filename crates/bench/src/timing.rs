@@ -508,14 +508,9 @@ pub fn bench_incremental(scale: StudyScale) -> IncrementalBench {
 
     // One router in one network grows a loopback.
     let touch = |net: &str| {
-        let sub = dir.join(net);
-        let mut files: Vec<_> = std::fs::read_dir(&sub)
-            .expect("scratch network readable")
-            .flatten()
-            .map(|e| e.path())
-            .collect();
-        files.sort();
-        let victim = files.first().expect("network has files");
+        let files = routing_design::layout::list_configs(&dir.join(net))
+            .expect("scratch network readable");
+        let victim = &files.first().expect("network has files").path;
         let mut text = std::fs::read_to_string(victim).expect("victim readable");
         text.push_str("interface Loopback99\n ip address 10.99.0.1 255.255.255.255\n");
         std::fs::write(victim, text).expect("victim rewritten");

@@ -60,6 +60,7 @@
 use std::path::Path;
 use std::process::ExitCode;
 
+use routing_design::layout::{list_configs, read_configs, Layout};
 use routing_design::{NetworkAnalysis, Prefix, RouterId, Severity};
 
 /// Flags recognized anywhere on the command line, split off before the
@@ -574,6 +575,9 @@ fn snap_cmd(args: &[String]) -> ExitCode {
             stats.reused, stats.recomputed, stats.files_reparsed,
         );
     }
+    for d in &outcome.warnings {
+        eprintln!("rdx: snap: {d}");
+    }
     for n in &outcome.corpus.networks {
         let c = &n.network.coverage;
         if c.degraded() {
@@ -877,68 +881,26 @@ fn watch_cmd(args: &[String]) -> ExitCode {
 // ---------------------------------------------------------------------------
 // `rdx chaos` — deterministic fault-injection sweep (the rd-chaos driver).
 
-/// Reads one network directory as sorted `(file_name, bytes)` pairs.
-fn read_config_files(dir: &Path) -> Result<Vec<(String, Vec<u8>)>, String> {
-    let mut paths: Vec<_> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.is_file())
-        .collect();
-    paths.sort();
-    let mut files = Vec::with_capacity(paths.len());
-    for path in paths {
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let bytes = std::fs::read(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        files.push((name, bytes));
-    }
-    Ok(files)
-}
-
-/// Collects the corpus under `dir`: each subdirectory holding files is a
-/// network (study layout); otherwise the directory itself is one network.
-fn read_corpus_files(dir: &Path) -> Result<Vec<(String, Vec<(String, Vec<u8>)>)>, String> {
-    let mut subdirs: Vec<_> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
-        .collect();
-    subdirs.sort();
+/// Reads the corpus under `dir` through its layout as `(network,
+/// files)` pairs, dropping networks without config files (an empty study
+/// subdirectory has nothing to mutate or diff). Errors when nothing is
+/// left.
+fn corpus_networks(dir: &Path) -> Result<Vec<(String, rd_plan::CorpusFiles)>, String> {
+    let layout = Layout::scan(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
     let mut networks = Vec::new();
-    for sub in subdirs {
-        let files = read_config_files(&sub)?;
+    for unit in layout.units {
+        let files = unit
+            .files
+            .and_then(|files| read_configs(&files))
+            .map_err(|e| format!("cannot read {}: {e}", unit.dir.display()))?;
         if !files.is_empty() {
-            let name = sub
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            networks.push((name, files));
+            networks.push((unit.name, files));
         }
     }
     if networks.is_empty() {
-        let files = read_config_files(dir)?;
-        if files.is_empty() {
-            return Err(format!("{} holds no config files", dir.display()));
-        }
-        networks.push((network_name(&dir.to_string_lossy()), files));
+        return Err(format!("{} holds no config files", dir.display()));
     }
     Ok(networks)
-}
-
-/// Rolling FNV-1a over the sweep's diagnostic stream — the determinism
-/// witness printed at the end of `rdx chaos` (two runs with the same seed
-/// must print the same digest at any `RD_THREADS`).
-fn fnv_extend(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
 }
 
 fn chaos_cmd(args: &[String]) -> ExitCode {
@@ -980,7 +942,7 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
         );
         return ExitCode::from(2);
     };
-    let networks = match read_corpus_files(Path::new(&dir)) {
+    let networks = match corpus_networks(Path::new(&dir)) {
         Ok(n) => n,
         Err(e) => {
             eprintln!("rdx: chaos: {e}");
@@ -1008,7 +970,10 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
     }
     let mut config_stats: BTreeMap<&'static str, MutStats> = BTreeMap::new();
     let mut code_counts: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    // The determinism witness: every trial index and diagnostic in
+    // sweep order, hashed once at the end (two runs with the same seed
+    // must print the same digest at any `RD_THREADS`).
+    let mut witness: Vec<u8> = Vec::new();
     let mut escaped_panics: u64 = 0;
     let mut caught_worker_panics: u64 = 0;
 
@@ -1031,7 +996,7 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
         }
         let stats = config_stats.entry(mutator.name()).or_default();
         stats.trials += 1;
-        digest = fnv_extend(digest, &(trial as u64).to_le_bytes());
+        witness.extend_from_slice(&(trial as u64).to_le_bytes());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             NetworkAnalysis::from_bytes_list(mutated)
         }));
@@ -1046,7 +1011,7 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
                         "parse-error" | "invalid-utf8" | "empty-config" | "worker-panic"
                     ) {
                         *code_counts.entry(d.code).or_default() += 1;
-                        digest = fnv_extend(digest, d.to_string().as_bytes());
+                        witness.extend_from_slice(d.to_string().as_bytes());
                         if d.code == "worker-panic" {
                             caught_worker_panics += 1;
                         }
@@ -1092,7 +1057,7 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
             Ok(Ok(_)) => stats.decoded += 1,
             Ok(Err(e)) => {
                 stats.rejected += 1;
-                digest = fnv_extend(digest, e.to_string().as_bytes());
+                witness.extend_from_slice(e.to_string().as_bytes());
             }
             Err(_) => {
                 stats.panics += 1;
@@ -1120,7 +1085,7 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
             s.trials, s.rejected, s.decoded, s.panics
         );
     }
-    println!("diagnostics digest: {digest:#018x}");
+    println!("diagnostics digest: {:#018x}", rd_snap::fnv1a64(&witness));
 
     let mut failed = false;
     if escaped_panics > 0 {
@@ -1473,7 +1438,7 @@ fn diff_cmd(old: &NetworkAnalysis, dir: &str, args: &[String], flags: &Flags) ->
 /// one side are touched by definition.
 fn diff_networks(dir: &str, other: &str) -> ExitCode {
     let load = |d: &str| -> Result<Vec<(String, NetworkAnalysis)>, String> {
-        Ok(read_corpus_files(Path::new(d))?
+        Ok(corpus_networks(Path::new(d))?
             .into_iter()
             .map(|(name, files)| (name, NetworkAnalysis::from_bytes_list(files)))
             .collect())
@@ -1532,12 +1497,11 @@ fn plan_cmd(dir: &str, args: &[String], flags: &Flags) -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    let read = |label: &str, d: &str| match read_config_files(Path::new(d)) {
-        Ok(files) => Ok(files),
-        Err(e) => {
-            eprintln!("rdx: plan: {label} corpus: {e}");
-            Err(ExitCode::from(2))
-        }
+    let read = |label: &str, d: &str| {
+        list_configs(Path::new(d)).and_then(|files| read_configs(&files)).map_err(|e| {
+            eprintln!("rdx: plan: {label} corpus: cannot read {d}: {e}");
+            ExitCode::from(2)
+        })
     };
     let current = match read("current", dir) {
         Ok(f) => f,
@@ -1594,23 +1558,18 @@ fn anonymize(dir: &str, args: &[String]) -> ExitCode {
         eprintln!("rdx: cannot create {out}: {e}");
         return ExitCode::FAILURE;
     }
-    let mut entries: Vec<_> = match std::fs::read_dir(dir) {
-        Ok(rd) => rd
-            .filter_map(|e| e.ok())
-            .filter(|e| e.path().is_file())
-            .map(|e| e.path())
-            .collect(),
+    let entries = match list_configs(Path::new(dir)) {
+        Ok(files) => files,
         Err(e) => {
             eprintln!("rdx: cannot read {dir}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    entries.sort();
-    for (i, path) in entries.iter().enumerate() {
-        let text = match std::fs::read_to_string(path) {
+    for (i, file) in entries.iter().enumerate() {
+        let text = match std::fs::read_to_string(&file.path) {
             Ok(t) => t,
             Err(e) => {
-                eprintln!("rdx: cannot read {}: {e}", path.display());
+                eprintln!("rdx: cannot read {}: {e}", file.path.display());
                 return ExitCode::FAILURE;
             }
         };

@@ -9,7 +9,8 @@
 //! and its encoded section payload — and on each [`refresh`] recomputes
 //! only the networks whose inputs actually moved:
 //!
-//! 1. a `(name, size, mtime)` stat sweep skips networks whose directory
+//! 1. the `(name, size, mtime)` stats of the corpus [`Layout`] — one
+//!    stat per file, taken while listing — skip networks whose directory
 //!    is bit-for-bit untouched without reading any file;
 //! 2. for networks the stat sweep flags, raw-byte FNV hashes
 //!    ([`rd_snap::fnv1a64`]) decide file by file what really changed —
@@ -43,6 +44,7 @@
 //! [`refresh`]: DeltaEngine::refresh
 //! [`seed_from_snapshot`]: DeltaEngine::seed_from_snapshot
 //! [`snap_dir`]: crate::snapshot::snap_dir
+//! [`Layout`]: crate::layout::Layout
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -52,8 +54,9 @@ use std::time::Instant;
 use nettopo::{Network, PreparsedFile};
 use rd_snap::{assemble_container, Corpus, Manifest, NetworkSnapshot, Snap, Writer};
 
-use crate::snapshot::{capture, is_study_dir, DroppedNetwork, SnapOutcome};
-use crate::{read_dir_files, LoadError, NetworkAnalysis};
+use crate::layout::{read_configs, ConfigFile, Layout};
+use crate::snapshot::{capture, DroppedNetwork, SnapOutcome};
+use crate::{LoadError, NetworkAnalysis};
 
 /// What one [`DeltaEngine::refresh`] actually did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -87,10 +90,11 @@ pub struct Refresh {
 
 /// Cached state of one network between refreshes.
 struct NetCache {
-    /// `(file_name, size, mtime_nanos)` of every config file at the last
-    /// refresh, sorted by name — the no-syscall-beyond-stat skip check.
-    /// Empty on a cache seeded from a snapshot (forces one hash pass).
-    stats: Vec<(String, u64, u128)>,
+    /// The network's config files (with their stats) as the layout
+    /// listed them at the last refresh — the no-syscall-beyond-stat skip
+    /// check. Empty on a cache seeded from a snapshot (forces one hash
+    /// pass).
+    stats: Vec<ConfigFile>,
     /// Raw-byte FNV-1a-64 per file, in input order.
     hashes: Vec<(String, u64)>,
     /// Parse products aligned with `hashes`; empty when seeded from a
@@ -110,12 +114,12 @@ enum Work {
     /// Inputs unchanged; the cached entry (keyed by name) stands. Fresh
     /// stats ride along when the hash pass proved a stat-moved network
     /// identical (touch, same-byte rewrite).
-    Reuse(Option<Vec<(String, u64, u128)>>),
+    Reuse(Option<Vec<ConfigFile>>),
     /// Inputs changed: re-analyze from these files, splicing cached
     /// parse products for files whose hash is unchanged.
-    Recompute { stats: Vec<(String, u64, u128)>, files: Vec<(String, Vec<u8>)> },
-    /// The network directory could not be read.
-    Unreadable(LoadError),
+    Recompute { stats: Vec<ConfigFile>, files: Vec<(String, Vec<u8>)> },
+    /// The network directory could not be listed or read.
+    Unreadable(std::io::Error),
 }
 
 /// The incremental re-analysis engine. One engine watches one directory
@@ -181,47 +185,30 @@ impl DeltaEngine {
     pub fn refresh(&mut self) -> Result<Refresh, LoadError> {
         let _span = rd_obs::span!("analyze.incr");
         let started = Instant::now();
-        let study = is_study_dir(&self.dir);
+        let layout = Layout::scan(&self.dir)?;
+        let warnings = layout.warnings();
         let budget = nettopo::error_budget();
-        let name_of = |p: &Path| {
-            p.file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_else(|| "network".to_string())
-        };
-        let units: Vec<(String, PathBuf)> = if study {
-            let mut subdirs: Vec<PathBuf> = std::fs::read_dir(&self.dir)
-                .map_err(LoadError::Io)?
-                .flatten()
-                .map(|e| e.path())
-                .filter(|p| p.is_dir())
-                .collect();
-            subdirs.sort();
-            subdirs.into_iter().map(|p| (name_of(&p), p)).collect()
-        } else {
-            vec![(name_of(&self.dir), self.dir.clone())]
-        };
 
-        // Scan phase (sequential, cheap): stat sweep, then raw-byte
-        // hashes only for networks the sweep flagged.
-        let mut classified: Vec<(String, Work)> = Vec::with_capacity(units.len());
-        for (name, dir) in units {
-            let work = self.classify(&name, &dir);
-            if let Work::Unreadable(e) = work {
-                if !study {
-                    // Single-network mode mirrors cold snap_dir: a read
-                    // failure is a hard error, not a dropped network.
-                    return Err(e);
-                }
-                classified.push((name, Work::Unreadable(e)));
-            } else {
-                classified.push((name, work));
+        // Scan phase (sequential, cheap): compare the layout's stats,
+        // then raw-byte hashes only for networks the stats flagged.
+        let mut classified: Vec<(String, Work)> = Vec::with_capacity(layout.units.len());
+        for unit in layout.units {
+            let work = match unit.files {
+                Ok(files) => self.classify(&unit.name, files),
+                Err(e) => Work::Unreadable(e),
+            };
+            match work {
+                // Single-network mode mirrors cold snap_dir: a read
+                // failure is a hard error, not a dropped network.
+                Work::Unreadable(e) if !layout.study => return Err(LoadError::Io(e)),
+                work => classified.push((unit.name, work)),
             }
         }
 
         // Recompute phase: the changed networks, in parallel. Results
         // come back in input order, so output never depends on the
         // worker count.
-        let todo: Vec<(&str, &[(String, u64, u128)], &[(String, Vec<u8>)])> = classified
+        let todo: Vec<(&str, &[ConfigFile], &[(String, Vec<u8>)])> = classified
             .iter()
             .filter_map(|(name, work)| match work {
                 Work::Recompute { stats, files } => {
@@ -263,32 +250,16 @@ impl DeltaEngine {
                     nets.insert(name, cache);
                 }
                 Work::Unreadable(e) => {
-                    dropped.push(DroppedNetwork {
-                        name: name.clone(),
-                        total_files: 0,
-                        quarantined: 0,
-                        reason: format!("network directory unreadable: {e}"),
-                    });
+                    dropped.push(DroppedNetwork::unreadable(&name, &e));
                     dropped_names.insert(name);
                 }
             }
         }
-        if study {
-            for (name, cache) in &nets {
-                let coverage = &cache.snap.network.coverage;
-                if coverage.over_budget(budget) {
-                    dropped.push(DroppedNetwork {
-                        name: name.clone(),
-                        total_files: coverage.total_files,
-                        quarantined: coverage.quarantined.len(),
-                        reason: format!(
-                            "{}/{} files quarantined exceeds error budget {:.0}%",
-                            coverage.quarantined.len(),
-                            coverage.total_files,
-                            budget * 100.0,
-                        ),
-                    });
-                    dropped_names.insert(name.clone());
+        if layout.study {
+            for cache in nets.values() {
+                if let Some(drop) = DroppedNetwork::over_budget(&cache.snap, budget) {
+                    dropped_names.insert(drop.name.clone());
+                    dropped.push(drop);
                 }
             }
             // Cold snap_dir reports drops in subdir (name) order; the
@@ -327,23 +298,19 @@ impl DeltaEngine {
                 ("files_reparsed", stats.files_reparsed.into()),
             ],
         );
-        Ok(Refresh { outcome: SnapOutcome { corpus, dropped }, bytes, stats })
+        Ok(Refresh { outcome: SnapOutcome { corpus, dropped, warnings }, bytes, stats })
     }
 
-    /// Decides what a single network needs this refresh: nothing (stat
-    /// sweep unchanged), nothing but fresh stats (hashes unchanged), or
-    /// a recompute from freshly read files.
-    fn classify(&self, name: &str, dir: &Path) -> Work {
-        let stats = match stat_files(dir) {
-            Ok(s) => s,
-            Err(e) => return Work::Unreadable(e),
-        };
-        if let Some(cache) = self.nets.get(name) {
-            if !cache.stats.is_empty() && cache.stats == stats {
-                return Work::Reuse(None);
-            }
+    /// Decides what a single network needs this refresh, given its
+    /// files as the layout listed them: nothing (stats unchanged),
+    /// nothing but fresh stats (hashes unchanged), or a recompute from
+    /// freshly read files.
+    fn classify(&self, name: &str, stats: Vec<ConfigFile>) -> Work {
+        let cache = self.nets.get(name);
+        if cache.is_some_and(|c| !c.stats.is_empty() && c.stats == stats) {
+            return Work::Reuse(None);
         }
-        let files = match read_dir_files(dir) {
+        let files = match read_configs(&stats) {
             Ok(f) => f,
             Err(e) => return Work::Unreadable(e),
         };
@@ -351,10 +318,8 @@ impl DeltaEngine {
             .iter()
             .map(|(file, bytes)| (file.clone(), rd_snap::fnv1a64(bytes)))
             .collect();
-        if let Some(cache) = self.nets.get(name) {
-            if cache.hashes == hashes {
-                return Work::Reuse(Some(stats));
-            }
+        if cache.is_some_and(|c| c.hashes == hashes) {
+            return Work::Reuse(Some(stats));
         }
         Work::Recompute { stats, files }
     }
@@ -365,7 +330,7 @@ impl DeltaEngine {
     fn recompute(
         &self,
         name: &str,
-        stats: &[(String, u64, u128)],
+        stats: &[ConfigFile],
         files: &[(String, Vec<u8>)],
     ) -> (NetCache, usize) {
         let hashes: Vec<(String, u64)> = files
@@ -412,34 +377,6 @@ fn encode_payload(snap: &NetworkSnapshot) -> Vec<u8> {
     let mut w = Writer::new();
     snap.encode(&mut w);
     w.into_bytes()
-}
-
-/// `(file_name, size, mtime_nanos)` of every plain file in `dir`,
-/// sorted by name — the cheap change sweep.
-fn stat_files(dir: &Path) -> Result<Vec<(String, u64, u128)>, LoadError> {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(LoadError::Io)?
-        .filter_map(|e| e.ok())
-        .filter(|e| e.path().is_file())
-        .map(|e| e.path())
-        .collect();
-    paths.sort();
-    let mut out = Vec::with_capacity(paths.len());
-    for path in paths {
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let meta = std::fs::metadata(&path).map_err(LoadError::Io)?;
-        let mtime = meta
-            .modified()
-            .ok()
-            .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
-            .map(|d| d.as_nanos())
-            .unwrap_or(0);
-        out.push((name, meta.len(), mtime));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

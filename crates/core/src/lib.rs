@@ -49,6 +49,7 @@
 pub mod audit;
 pub mod diff;
 pub mod incremental;
+pub mod layout;
 pub mod plan;
 pub mod report;
 pub mod snapshot;
@@ -251,10 +252,12 @@ impl NetworkAnalysis {
         self.network.coverage.degraded()
     }
 
-    /// Loads and analyzes a directory of configuration files. Parsing is
+    /// Loads and analyzes one network directory: its config files as
+    /// [`layout::list_configs`] defines them, in path order. Parsing is
     /// recorded as the `"parse"` stage.
     pub fn from_dir(dir: &Path) -> Result<NetworkAnalysis, LoadError> {
-        Ok(NetworkAnalysis::from_bytes_list(read_dir_files(dir)?))
+        let files = layout::read_configs(&layout::list_configs(dir)?)?;
+        Ok(NetworkAnalysis::from_bytes_list(files))
     }
 
     /// The route pathway graph for one router (Section 3.3).
@@ -325,28 +328,6 @@ impl NetworkAnalysis {
     pub fn pathway_text(&self, router: RouterId) -> String {
         routing_model::render::pathway_text(&self.pathway(router), &self.instances)
     }
-}
-
-/// Reads every plain file in `dir` as raw bytes, in file-name order —
-/// the exact input [`Network::from_dir`] feeds to the parser, factored
-/// out so the [`incremental`] engine reads through the same path.
-pub(crate) fn read_dir_files(dir: &Path) -> Result<Vec<(String, Vec<u8>)>, LoadError> {
-    let mut names: Vec<_> = std::fs::read_dir(dir)
-        .map_err(LoadError::Io)?
-        .filter_map(|e| e.ok())
-        .filter(|e| e.path().is_file())
-        .map(|e| e.path())
-        .collect();
-    names.sort();
-    let mut files = Vec::with_capacity(names.len());
-    for path in names {
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        files.push((name, std::fs::read(&path).map_err(LoadError::Io)?));
-    }
-    Ok(files)
 }
 
 #[cfg(test)]

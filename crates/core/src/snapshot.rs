@@ -9,8 +9,10 @@
 
 use std::path::Path;
 
+use rd_obs::Diagnostic;
 use rd_snap::{Corpus, NetworkSnapshot};
 
+use crate::layout::{read_configs, Layout};
 use crate::{LoadError, NetworkAnalysis};
 
 /// Converts a finished analysis into its snapshot form, named `name`.
@@ -77,29 +79,6 @@ pub fn restore(snap: NetworkSnapshot) -> NetworkAnalysis {
     }
 }
 
-/// True when `dir` looks like a study directory (subdirectories holding
-/// config files) rather than a single network's config directory.
-pub(crate) fn is_study_dir(dir: &Path) -> bool {
-    let mut has_subdir_with_files = false;
-    let mut has_plain_file = false;
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.is_dir() {
-                if std::fs::read_dir(&path)
-                    .map(|mut sub| sub.any(|e| e.is_ok_and(|e| e.path().is_file())))
-                    .unwrap_or(false)
-                {
-                    has_subdir_with_files = true;
-                }
-            } else if path.is_file() {
-                has_plain_file = true;
-            }
-        }
-    }
-    has_subdir_with_files && !has_plain_file
-}
-
 /// One network excluded from a study: either its parse coverage exceeded
 /// the error budget (see [`nettopo::error_budget`]) or its directory could
 /// not be read at all.
@@ -114,77 +93,83 @@ pub struct DroppedNetwork {
     pub reason: String,
 }
 
-/// Result of snapshotting a directory: the corpus of surviving networks
-/// plus every network dropped by the error budget. A study run proceeds
-/// with the survivors; callers decide how loudly to report the drops
-/// (`rdx snap` and `repro` exit non-zero when any network was dropped).
+impl DroppedNetwork {
+    /// A network whose directory could not be listed or read.
+    pub(crate) fn unreadable(name: &str, error: &std::io::Error) -> DroppedNetwork {
+        DroppedNetwork {
+            name: name.to_string(),
+            total_files: 0,
+            quarantined: 0,
+            // Worded as `LoadError::Io` displays, like every other
+            // load failure `rdx` reports.
+            reason: format!("network directory unreadable: i/o error: {error}"),
+        }
+    }
+
+    /// `Some` when `snap`'s parse coverage exceeds the error `budget`.
+    pub(crate) fn over_budget(snap: &NetworkSnapshot, budget: f64) -> Option<DroppedNetwork> {
+        let coverage = &snap.network.coverage;
+        coverage.over_budget(budget).then(|| DroppedNetwork {
+            name: snap.name.clone(),
+            total_files: coverage.total_files,
+            quarantined: coverage.quarantined.len(),
+            reason: format!(
+                "{}/{} files quarantined exceeds error budget {:.0}%",
+                coverage.quarantined.len(),
+                coverage.total_files,
+                budget * 100.0,
+            ),
+        })
+    }
+}
+
+/// Result of snapshotting a directory: the corpus of surviving networks,
+/// every network dropped by the error budget, and the layout's warnings.
+/// A study run proceeds with the survivors; callers decide how loudly to
+/// report the drops (`rdx snap` and `repro` exit non-zero when any
+/// network was dropped).
 pub struct SnapOutcome {
     /// Snapshots of the networks that stayed within the error budget.
     pub corpus: Corpus,
     /// Networks excluded from the corpus, in name order.
     pub dropped: Vec<DroppedNetwork>,
+    /// One `stray-root-file` warning per plain file at a study root (see
+    /// [`Layout::warnings`]); such files never change the network set.
+    pub warnings: Vec<Diagnostic>,
 }
 
 /// Analyzes `dir` — one network, or a whole study directory of `netN`
-/// subdirectories (analyzed in parallel with `rd-par`) — and returns the
-/// snapshot corpus plus any networks dropped by the error budget. Network
-/// names are the directory basenames. Only a top-level read failure of
-/// `dir` itself is a hard error; per-network failures degrade or drop that
-/// network and the rest of the study proceeds.
+/// subdirectories (analyzed in parallel with `rd-par`), as
+/// [`Layout::scan`] decides — and returns the snapshot corpus plus any
+/// networks dropped by the error budget. Network names are the directory
+/// basenames. Only a read failure in single-network mode (or of `dir`
+/// itself) is a hard error; per-network failures in a study degrade or
+/// drop that network and the rest of the study proceeds.
 pub fn snap_dir(dir: &Path) -> Result<SnapOutcome, LoadError> {
-    let name_of = |p: &Path| {
-        p.file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "network".to_string())
-    };
-    let budget = nettopo::error_budget();
-    if !is_study_dir(dir) {
-        let analysis = NetworkAnalysis::from_dir(dir)?;
-        return Ok(SnapOutcome {
-            corpus: Corpus::new(vec![capture(&name_of(dir), analysis)]),
-            dropped: Vec::new(),
-        });
+    let mut layout = Layout::scan(dir)?;
+    let warnings = layout.warnings();
+    if !layout.study {
+        let unit = layout.units.remove(0);
+        let files = read_configs(&unit.files?)?;
+        let snap = capture(&unit.name, NetworkAnalysis::from_bytes_list(files));
+        return Ok(SnapOutcome { corpus: Corpus::new(vec![snap]), dropped: Vec::new(), warnings });
     }
-    let mut subdirs: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
-        .map_err(LoadError::Io)?
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
-        .collect();
-    subdirs.sort();
-    let results = rd_par::par_map(&subdirs, |_, sub| {
-        NetworkAnalysis::from_dir(sub).map(|a| capture(&name_of(sub), a))
+    let budget = nettopo::error_budget();
+    let results = rd_par::par_map(&layout.units, |_, unit| {
+        let files = unit.files.as_ref().map_err(|e| DroppedNetwork::unreadable(&unit.name, e))?;
+        let files = read_configs(files).map_err(|e| DroppedNetwork::unreadable(&unit.name, &e))?;
+        Ok(capture(&unit.name, NetworkAnalysis::from_bytes_list(files)))
     });
     let mut networks = Vec::new();
     let mut dropped = Vec::new();
-    for (sub, result) in subdirs.iter().zip(results) {
-        let name = name_of(sub);
+    for result in results {
         match result {
-            Ok(snap) => {
-                let coverage = &snap.network.coverage;
-                if coverage.over_budget(budget) {
-                    dropped.push(DroppedNetwork {
-                        name,
-                        total_files: coverage.total_files,
-                        quarantined: coverage.quarantined.len(),
-                        reason: format!(
-                            "{}/{} files quarantined exceeds error budget {:.0}%",
-                            coverage.quarantined.len(),
-                            coverage.total_files,
-                            budget * 100.0,
-                        ),
-                    });
-                } else {
-                    networks.push(snap);
-                }
-            }
-            Err(error) => dropped.push(DroppedNetwork {
-                name,
-                total_files: 0,
-                quarantined: 0,
-                reason: format!("network directory unreadable: {error}"),
-            }),
+            Ok(snap) => match DroppedNetwork::over_budget(&snap, budget) {
+                Some(drop) => dropped.push(drop),
+                None => networks.push(snap),
+            },
+            Err(drop) => dropped.push(drop),
         }
     }
-    Ok(SnapOutcome { corpus: Corpus::new(networks), dropped })
+    Ok(SnapOutcome { corpus: Corpus::new(networks), dropped, warnings })
 }

@@ -45,6 +45,7 @@ use rd_snap::Corpus;
 
 use crate::diff::config_fingerprint;
 use crate::incremental::DeltaEngine;
+use crate::layout::{ConfigFile, Layout};
 use crate::snapshot::snap_dir;
 
 /// Supervisor tuning knobs.
@@ -416,31 +417,47 @@ impl Watcher {
         self.ctrl.set_watch_status(self.status.clone());
     }
 
-    /// Scans the config directory: returns a cheap signature over
-    /// (name, size, mtime) of every file, and — only when the signature
-    /// moved since the last scan — the per-config semantic fingerprints.
+    /// Scans the config directory through its [`Layout`]: returns a
+    /// cheap signature over (name, size, mtime) of every config file, and
+    /// — only when the signature moved since the last scan — the
+    /// per-config semantic fingerprints. Keys are `net/file` in a study
+    /// and the file name in a single network; files the layout does not
+    /// count (stray root files, dotfiles, snapshot artifacts) never move
+    /// either, so a snapshot path inside the watched tree cannot churn
+    /// the scan on every persist.
     fn scan(&self) -> (u64, Option<BTreeMap<String, u64>>) {
         let _span = rd_obs::span!("watch.scan");
-        let mut entries: Vec<(String, u64, u128)> = Vec::new();
-        collect_files(&self.dir, "", &mut entries, 0);
-        entries.sort();
+        let mut entries: Vec<(String, ConfigFile)> = Vec::new();
+        // An unlistable directory scans as empty: nothing to fingerprint.
+        if let Ok(layout) = Layout::scan(&self.dir) {
+            for unit in layout.units {
+                let Ok(files) = unit.files else { continue };
+                for file in files {
+                    let key = if layout.study {
+                        format!("{}/{}", unit.name, file.name)
+                    } else {
+                        file.name.clone()
+                    };
+                    entries.push((key, file));
+                }
+            }
+        }
         let mut sig_bytes = Vec::with_capacity(entries.len() * 32);
-        for (name, size, mtime) in &entries {
-            sig_bytes.extend_from_slice(name.as_bytes());
+        for (key, file) in &entries {
+            sig_bytes.extend_from_slice(key.as_bytes());
             sig_bytes.push(0);
-            sig_bytes.extend_from_slice(&size.to_le_bytes());
-            sig_bytes.extend_from_slice(&mtime.to_le_bytes());
+            sig_bytes.extend_from_slice(&file.size.to_le_bytes());
+            sig_bytes.extend_from_slice(&file.mtime_nanos.to_le_bytes());
         }
         let sig = rd_snap::fnv1a64(&sig_bytes);
         if sig == self.scan_sig {
             return (sig, None);
         }
         let mut prints = BTreeMap::new();
-        for (name, _, _) in &entries {
-            let path = self.dir.join(name);
-            let Ok(bytes) = std::fs::read(&path) else {
+        for (key, file) in entries {
+            let Ok(bytes) = std::fs::read(&file.path) else {
                 // Vanished or unreadable mid-scan: fingerprint the gap.
-                prints.insert(name.clone(), 0);
+                prints.insert(key, 0);
                 continue;
             };
             let fp = match std::str::from_utf8(&bytes) {
@@ -452,46 +469,9 @@ impl Watcher {
                 },
                 Err(_) => rd_snap::fnv1a64(&bytes),
             };
-            prints.insert(name.clone(), fp);
+            prints.insert(key, fp);
         }
         (sig, Some(prints))
-    }
-}
-
-/// Recursive (depth ≤ 2: study dirs are `study/netN/config`) file
-/// collection for the scan signature.
-fn collect_files(dir: &Path, prefix: &str, out: &mut Vec<(String, u64, u128)>, depth: usize) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let name = match path.file_name() {
-            Some(n) => n.to_string_lossy().into_owned(),
-            None => continue,
-        };
-        let rel = if prefix.is_empty() { name } else { format!("{prefix}/{name}") };
-        if path.is_dir() {
-            if depth < 2 {
-                collect_files(&path, &rel, out, depth + 1);
-            }
-        } else if matches!(
-            path.extension().and_then(|e| e.to_str()),
-            Some("rdsnap" | "tmp" | "quarantined")
-        ) {
-            // Snapshot artifacts (persisted last-good, staging files,
-            // quarantined remnants) are never router configs; skipping
-            // them keeps a snapshot path inside the watched tree from
-            // churning the scan on every persist.
-        } else if let Ok(meta) = std::fs::metadata(&path) {
-            let mtime = meta
-                .modified()
-                .ok()
-                .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
-                .map(|d| d.as_nanos())
-                .unwrap_or(0);
-            out.push((rel, meta.len(), mtime));
-        }
     }
 }
 
@@ -507,9 +487,9 @@ pub fn run_daemon(
     watch_opts: WatchOptions,
     serve_opts: ServeOptions,
 ) -> Result<(), String> {
-    // The snapshot must live outside the watched tree: inside it, the
-    // analyzer would read the binary artifact as a router config (and
-    // the study-layout detection would misfire on the stray file).
+    // The snapshot must live outside the watched tree. The layout skips
+    // `*.rdsnap` names, but the path is user input and a tree holding the
+    // persisted artifact is a misconfiguration worth refusing outright.
     let canonical_dir = std::fs::canonicalize(dir).unwrap_or_else(|_| dir.to_path_buf());
     let canonical_snap = snapshot_path
         .parent()

@@ -1,7 +1,6 @@
 //! The [`Network`]: one administrative domain's configuration files.
 
 use std::fmt;
-use std::path::Path;
 
 use ioscfg::{lex_config, parse_raw, ParseError, RouterConfig};
 
@@ -212,8 +211,11 @@ impl Network {
     }
 
     /// Builds a network from raw `(file_name, bytes)` pairs — the
-    /// byte-level entry point used by [`from_dir`](Network::from_dir) and
-    /// the chaos harness. Quarantines (never aborts on):
+    /// byte-level entry point behind every directory loader (which read
+    /// a corpus through `routing_design::layout`) and the chaos harness.
+    /// Files are taken as raw bytes so encoding damage is quarantined
+    /// instead of surfacing as an opaque I/O error. Quarantines (never
+    /// aborts on):
     ///
     /// - zero-byte files → `empty-config`
     /// - non-UTF-8 files → `invalid-utf8`
@@ -342,29 +344,6 @@ impl Network {
         rd_obs::metrics::counter_add("parse.lines", total_lines);
         rd_obs::metrics::counter_add("parse.unrecognized_lines", unrecognized);
         Network { routers, diagnostics, coverage }
-    }
-
-    /// Loads every file in a directory as a configuration, in file-name
-    /// order (the paper's corpora are directories of `config1..configN`).
-    /// Files are read as raw bytes so encoding damage is quarantined (see
-    /// [`from_bytes_list`](Network::from_bytes_list)) instead of
-    /// surfacing as an opaque I/O error.
-    pub fn from_dir(dir: &Path) -> Result<Network, LoadError> {
-        let mut names: Vec<_> = std::fs::read_dir(dir)?
-            .filter_map(|e| e.ok())
-            .filter(|e| e.path().is_file())
-            .map(|e| e.path())
-            .collect();
-        names.sort();
-        let mut files = Vec::with_capacity(names.len());
-        for path in names {
-            let name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            files.push((name, std::fs::read(&path)?));
-        }
-        Ok(Network::from_bytes_list(files))
     }
 
     /// Number of routers.

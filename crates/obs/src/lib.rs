@@ -60,3 +60,15 @@ macro_rules! span {
         $crate::profile::span(&format!($($arg)*))
     };
 }
+
+#[cfg(test)]
+mod tests {
+    /// Serializes this crate's tests that touch the process-global trace
+    /// sink or profile table: a profile span also emits trace events while
+    /// a sink is installed, so the two suites would otherwise see each
+    /// other's events under the parallel test harness.
+    pub(crate) fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+}

@@ -417,6 +417,7 @@ mod tests {
     // One test function: the sink is process-global state.
     #[test]
     fn sink_buffering_and_rendering() {
+        let _obs = crate::tests::obs_lock();
         // Rendering is exact and zeroable.
         let e = Event {
             kind: EventKind::SpanClose,

@@ -258,6 +258,16 @@ where
 mod tests {
     use super::*;
 
+    /// The trace sink and the profile table are process-global, and a
+    /// profile span also emits trace events whenever a sink is
+    /// installed; tests touching either hold this lock so they cannot
+    /// see each other's events.
+    static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
+        OBS_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     #[test]
     fn results_come_back_in_input_order() {
         let items: Vec<usize> = (0..257).collect();
@@ -361,6 +371,7 @@ mod tests {
     fn trace_events_flush_in_input_order_at_any_thread_count() {
         // One test function drives every thread count: the trace sink is
         // process-global state.
+        let _obs = obs_lock();
         let run = |threads: usize| -> Vec<String> {
             rd_obs::trace::install_memory_sink(true);
             let items: Vec<usize> = (0..64).collect();
@@ -391,6 +402,7 @@ mod tests {
         // span; the zeroed folded output — the set of stacks — must be
         // byte-identical at any thread count, and the parent's self time
         // must exclude the child time that ran on workers.
+        let _obs = obs_lock();
         let run = |threads: usize| -> String {
             rd_obs::profile::enable();
             rd_obs::profile::reset();

@@ -16,6 +16,7 @@
 //! ```
 
 use anonymizer::Anonymizer;
+use routing_design::layout::list_configs;
 use routing_design::NetworkAnalysis;
 
 fn main() {
@@ -82,14 +83,9 @@ fn main() {
 fn anonymize_directory(input: &str, output: &str, key: &[u8]) {
     let anon = Anonymizer::new(key);
     std::fs::create_dir_all(output).expect("create output dir");
-    let mut entries: Vec<_> = std::fs::read_dir(input)
-        .expect("read input dir")
-        .filter_map(|e| e.ok())
-        .filter(|e| e.path().is_file())
-        .map(|e| e.path())
-        .collect();
-    entries.sort();
-    for (i, path) in entries.iter().enumerate() {
+    let entries = list_configs(std::path::Path::new(input)).expect("read input dir");
+    for (i, file) in entries.iter().enumerate() {
+        let path = &file.path;
         let text = std::fs::read_to_string(path).expect("read config");
         let anonymized = anon.anonymize_config(&text);
         // Output files are renamed config1..configN, like the paper's

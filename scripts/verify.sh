@@ -140,6 +140,18 @@ kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 echo "    clean SIGTERM shutdown"
 
+echo "==> corpus layout: a stray root file warns and changes nothing"
+printf 'Study corpus notes.\nNot a router config.\n' > /tmp/rd_verify_study/README
+./target/release/rdx snap /tmp/rd_verify_study -o /tmp/rd_verify_stray.rdsnap \
+    2> /tmp/rd_verify_stray_err.txt \
+    || { echo "rdx snap failed on a study with a stray root file" >&2; exit 1; }
+grep -q "stray-root-file" /tmp/rd_verify_stray_err.txt \
+    || { echo "rdx snap did not warn about the stray root file" >&2; exit 1; }
+cmp /tmp/rd_verify_stray.rdsnap /tmp/rd_verify.rdsnap \
+    || { echo "a stray root file changed the snapshot bytes" >&2; exit 1; }
+rm -f /tmp/rd_verify_study/README /tmp/rd_verify_stray.rdsnap /tmp/rd_verify_stray_err.txt
+echo "    stray-root-file warned; snapshot byte-identical to the clean study's"
+
 echo "==> chaos sweep: error-not-panic, deterministic diagnostics (500+100 trials)"
 RD_THREADS=4 ./target/release/rdx chaos /tmp/rd_verify_study --seed 1 \
     > /tmp/rd_verify_chaos_t4.txt

@@ -8,10 +8,12 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+use std::time::Duration;
 
 use netgen::StudyScale;
 use routing_design::incremental::DeltaEngine;
 use routing_design::report::{StudyNetwork, StudyReport};
+use routing_design::watch::{Tick, WatchOptions, Watcher};
 
 /// Tests here mutate the process-global `RD_THREADS` environment
 /// variable; the lock keeps them from racing each other.
@@ -141,4 +143,83 @@ fn seeded_churn_stays_byte_identical_to_cold_at_any_thread_count() {
         one.windows(2).any(|w| w[0].0 != w[1].0),
         "no mutation round ever changed the snapshot"
     );
+}
+
+/// Stray names dropped into a study, each with whether the layout must
+/// report it as a `stray-root-file` when it sits at the study root. The
+/// skipped artifact names are also dropped inside one network directory.
+const STRAYS: [(&str, bool); 5] = [
+    ("README", true),
+    (".DS_Store", false),
+    ("x.tmp", false),
+    ("y.rdsnap", false),
+    ("z.quarantined", false),
+];
+
+fn network_names(corpus: &rd_snap::Corpus) -> Vec<String> {
+    corpus.networks.iter().map(|n| n.name.clone()).collect()
+}
+
+#[test]
+fn stray_files_never_change_the_network_set_or_the_bytes() {
+    let _env = ENV_LOCK.lock().expect("env lock");
+    let base: PathBuf =
+        std::env::temp_dir().join(format!("rd-incr-stray-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let study = base.join("study");
+    write_study(&study, &study_files());
+    let clean = routing_design::snapshot::snap_dir(&study).expect("clean cold run");
+    let clean_bytes = clean.corpus.to_bytes();
+    let clean_names = network_names(&clean.corpus);
+    assert_eq!(clean_names, vec!["net1", "net2"]);
+    assert!(clean.warnings.is_empty());
+
+    // Each stray would parse as a router if read: a config-shaped body.
+    let body = "hostname stray\ninterface Serial0\n ip address 10.250.0.1 255.255.255.252\n";
+    for (name, _) in STRAYS {
+        std::fs::write(study.join(name), body).expect("root stray");
+    }
+    for (name, _) in STRAYS.iter().filter(|(_, warns)| !warns) {
+        std::fs::write(study.join("net1").join(name), body).expect("network stray");
+    }
+
+    // Cold run: same networks, same bytes, one warning per root file.
+    let cold = routing_design::snapshot::snap_dir(&study).expect("cold run");
+    assert_eq!(network_names(&cold.corpus), clean_names);
+    assert!(cold.dropped.is_empty());
+    assert_eq!(cold.corpus.to_bytes(), clean_bytes, "cold bytes moved");
+    let warned: Vec<&str> = cold.warnings.iter().map(|d| d.file.as_str()).collect();
+    let expected: Vec<&str> =
+        STRAYS.iter().filter(|(_, warns)| *warns).map(|(name, _)| *name).collect();
+    assert_eq!(warned, expected);
+    assert!(cold.warnings.iter().all(|d| d.code == "stray-root-file"));
+
+    // Delta refresh: a fresh engine and a snapshot-seeded one.
+    let refresh = DeltaEngine::new(&study).refresh().expect("refresh");
+    assert_eq!(network_names(&refresh.outcome.corpus), clean_names);
+    assert_eq!(refresh.bytes, clean_bytes, "refresh bytes moved");
+    assert_eq!(refresh.outcome.warnings, cold.warnings);
+    let mut seeded = DeltaEngine::new(&study);
+    seeded.seed_from_snapshot(&clean_bytes).expect("seed");
+    let reseeded = seeded.refresh().expect("seeded refresh");
+    assert_eq!(reseeded.stats.reused, 2, "strays must not invalidate a network");
+    assert_eq!(reseeded.bytes, clean_bytes);
+
+    // Watch: booted stale so the first tick re-analyzes and persists.
+    let snapshot_path = base.join("last-good.rdsnap");
+    rd_snap::write_atomic(&snapshot_path, &clean_bytes).expect("seed snapshot");
+    let server = rd_serve::Server::start(clean.corpus, "127.0.0.1:0", 1).expect("server");
+    let opts = WatchOptions { debounce: Duration::ZERO, ..WatchOptions::default() };
+    let mut watcher = Watcher::new(&study, &snapshot_path, server.controller(), opts);
+    watcher.mark_boot_stale();
+    assert_eq!(watcher.tick(), Tick::Published);
+    let persisted = std::fs::read(&snapshot_path).expect("persisted snapshot");
+    assert_eq!(persisted, clean_bytes, "watch bytes moved");
+    let served = rd_snap::Corpus::from_bytes(&persisted).expect("persisted decodes");
+    assert_eq!(network_names(&served), clean_names);
+    // The strays are invisible to the scan: nothing is pending after.
+    assert_eq!(watcher.tick(), Tick::Idle);
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&base);
 }
