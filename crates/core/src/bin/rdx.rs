@@ -337,8 +337,12 @@ usage:
             [--workers N] [--max-conns N] [--no-cache]
                                          supervised continuous analysis:
                                          poll <config-dir> for semantic
-                                         changes (debounced per-router
-                                         fingerprints), re-analyze in a
+                                         changes (reading and parsing
+                                         only the files that moved;
+                                         comment-only edits never
+                                         rebuild), debounce them,
+                                         re-analyze only the networks
+                                         they touched in a
                                          failure-isolated worker, persist
                                          crash-safely to --snapshot
                                          (default <config-dir>.rdsnap),
@@ -427,7 +431,9 @@ serve endpoints:
   /admin/debug/conns  live connections (state, age, buffers)
   /admin/debug/cache  serving snapshot + reload history ring
   /admin/debug/watch  watch supervisor state (generation, failures,
-                      backoff, last error; null under plain `rdx serve`)
+                      backoff, last error, last refresh counters and
+                      recomputed networks, stray-root-file warnings;
+                      null under plain `rdx serve`)
   Snapshot-derived responses carry the snapshot's FNV-1a-64 trailer as
   an ETag and honor If-None-Match with 304. SIGHUP or POST /admin/reload
   re-reads the snapshot file and hot-swaps it with zero dropped requests.

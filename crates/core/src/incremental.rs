@@ -1,60 +1,54 @@
-//! The incremental re-analysis engine: fingerprint-scoped delta
-//! recomputation for config churn.
+//! The incremental re-analysis engine: the one change funnel between a
+//! config directory and its snapshot.
 //!
 //! Operational networks change a few routers at a time (Section 8.1's
 //! maintenance reality), yet a cold `rdx snap` pays parse + topology +
 //! routing-model cost for all 31 networks on every run. [`DeltaEngine`]
-//! keeps the previous refresh's per-network state — file stats, raw-byte
-//! FNV hashes, cached parse products, the finished [`NetworkSnapshot`]
-//! and its encoded section payload — and on each [`refresh`] recomputes
-//! only the networks whose inputs actually moved:
+//! is the only code that lists, stats, reads, hashes, parses and
+//! fingerprints config files between runs, and its work follows the
+//! change:
 //!
-//! 1. the `(name, size, mtime)` stats of the corpus [`Layout`] — one
-//!    stat per file, taken while listing — skip networks whose directory
-//!    is bit-for-bit untouched without reading any file;
-//! 2. for networks the stat sweep flags, raw-byte FNV hashes
-//!    ([`rd_snap::fnv1a64`]) decide file by file what really changed —
-//!    a `touch` or an rsync that rewrote identical bytes reuses the
-//!    cached analysis;
-//! 3. changed networks re-parse **only their changed files**, splicing
-//!    cached [`PreparsedFile`] products for the rest, and rebuild
-//!    through the exact cold-path assembly
-//!    ([`Network::from_parsed`] → [`NetworkAnalysis::from_network`]);
-//! 4. unchanged networks' encoded section bytes are copied straight
-//!    into the output container ([`rd_snap::assemble_container`])
-//!    instead of being re-encoded.
+//! 1. [`poll`] takes one [`Layout`] scan (one stat per file), reads and
+//!    hashes ([`rd_snap::fnv1a64`]) only files whose stat moved, and
+//!    parses, in parallel, only files whose hash moved. It returns a
+//!    digest of the semantic fingerprints ([`config_fingerprint`]) that
+//!    cosmetic churn leaves unchanged: `rdx watch` debounces on it;
+//! 2. [`refresh`] polls, re-analyzes only networks whose file hashes
+//!    differ from their cached snapshot's — from the parse products the
+//!    polls held, through the cold-path assembly ([`Network::from_parsed`]
+//!    → [`NetworkAnalysis::from_network`]) — and copies every other
+//!    network's encoded section bytes into the output container
+//!    ([`rd_snap::assemble_container`]).
 //!
-//! The result — snapshot bytes, restored corpus, and everything derived
-//! from them — is **byte-identical to a cold [`snap_dir`] run at any
-//! `RD_THREADS`**, because every recomputed network flows through the
-//! same deterministic pipeline and every reused network contributes the
-//! very bytes a cold run would re-produce. The engine can also be
-//! seeded from a persisted snapshot ([`seed_from_snapshot`]): the
-//! manifest footer locates each network's payload and
-//! [`NetworkSnapshot::file_hashes`] carries the hashes, so a freshly
-//! booted `rdx watch` daemon reuses everything that did not change
-//! while it was down (the parse-product cache starts empty, so the
-//! first change to a seeded network re-parses that network whole).
+//! Only detection tells cosmetic from semantic: a refresh re-analyzes a
+//! cosmetically edited network, since [`NetworkSnapshot::file_hashes`] is
+//! part of its payload. Output is thus **byte-identical to a cold
+//! [`snap_dir`] run at any `RD_THREADS`**. A persisted snapshot can seed
+//! the engine ([`seed_from_snapshot`]), so a rebooted `rdx watch` reuses
+//! every network that did not change while it was down (with no parse
+//! products held, a seeded network's first change re-parses it whole).
 //!
-//! Observability: each refresh runs under an `analyze.incr` profile
-//! span and records `incr.networks_reused`, `incr.networks_recomputed`
-//! and `incr.files_reparsed` counters plus an `incr.last_wall_us`
-//! gauge.
+//! Observability: `incr.poll` and `analyze.incr` spans; each refresh
+//! records `incr.networks_reused`, `incr.networks_recomputed` and
+//! `incr.files_reparsed` counters plus an `incr.last_wall_us` gauge.
 //!
+//! [`poll`]: DeltaEngine::poll
 //! [`refresh`]: DeltaEngine::refresh
 //! [`seed_from_snapshot`]: DeltaEngine::seed_from_snapshot
 //! [`snap_dir`]: crate::snapshot::snap_dir
-//! [`Layout`]: crate::layout::Layout
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
 use nettopo::{Network, PreparsedFile};
+use rd_obs::Diagnostic;
 use rd_snap::{assemble_container, Corpus, Manifest, NetworkSnapshot, Snap, Writer};
 
-use crate::layout::{read_configs, ConfigFile, Layout};
+use crate::diff::config_fingerprint;
+use crate::layout::Layout;
 use crate::snapshot::{capture, DroppedNetwork, SnapOutcome};
 use crate::{LoadError, NetworkAnalysis};
 
@@ -67,18 +61,32 @@ pub struct RefreshStats {
     pub reused: usize,
     /// Networks re-analyzed because at least one input file moved.
     pub recomputed: usize,
-    /// Config files actually fed to the parser (changed files of
-    /// recomputed networks; spliced cache hits are not counted).
+    /// Config files of recomputed networks parsed for this refresh — by
+    /// the refresh or by a poll since the previous one. Parse products
+    /// held from earlier refreshes are not counted.
     pub files_reparsed: usize,
     /// Networks excluded from the output (unreadable or over the error
     /// budget) — mirrors [`SnapOutcome::dropped`].
     pub dropped: usize,
 }
 
+impl RefreshStats {
+    /// The counters as `(name, value)` pairs, in field order.
+    pub fn counters(&self) -> [(&'static str, usize); 5] {
+        [
+            ("networks", self.networks),
+            ("reused", self.reused),
+            ("recomputed", self.recomputed),
+            ("files_reparsed", self.files_reparsed),
+            ("dropped", self.dropped),
+        ]
+    }
+}
+
 /// The product of one [`DeltaEngine::refresh`]: the same outcome a cold
 /// [`snap_dir`](crate::snapshot::snap_dir) would return, the serialized
 /// container bytes (byte-identical to `outcome.corpus.to_bytes()`), and
-/// the delta statistics.
+/// what the delta pass did.
 pub struct Refresh {
     /// Surviving corpus plus dropped networks, exactly as a cold run.
     pub outcome: SnapOutcome,
@@ -86,48 +94,86 @@ pub struct Refresh {
     pub bytes: Vec<u8>,
     /// What the delta pass reused and recomputed.
     pub stats: RefreshStats,
+    /// The networks this refresh re-analyzed, in layout order.
+    pub recomputed: Vec<String>,
+    /// The [`DeltaEngine::poll`] digest of the directory state analyzed.
+    pub digest: u64,
 }
 
-/// Cached state of one network between refreshes.
+/// What the engine last observed of one config file.
+struct FileState {
+    name: String,
+    path: PathBuf,
+    /// `(size, mtime_nanos)` as listed; `None` forces a read.
+    stat: Option<(u64, u128)>,
+    /// Raw-byte FNV-1a-64; 0 until read.
+    hash: u64,
+    /// [`config_fingerprint`], or `hash` for a file that does not parse.
+    print: u64,
+    /// The parse product of the bytes `hash` covers, while held.
+    parsed: Option<PreparsedFile>,
+    /// Parsed since the last refresh.
+    fresh: bool,
+}
+
+impl FileState {
+    /// A file nothing is known about: the next poll reads and parses it.
+    fn unknown(name: String) -> FileState {
+        let path = PathBuf::new();
+        FileState { name, path, stat: None, hash: 0, print: 0, parsed: None, fresh: false }
+    }
+}
+
+/// One network's files as the last poll listed them.
+struct NetFiles {
+    name: String,
+    /// In layout order.
+    files: Vec<FileState>,
+    /// Why the network could not be listed, or one of its files read.
+    error: Option<io::Error>,
+}
+
+impl NetFiles {
+    /// A network known only from a snapshot: its recorded hashes and
+    /// configs' fingerprints, so a poll parses only files that moved.
+    fn seeded(snap: &NetworkSnapshot) -> NetFiles {
+        let configs: BTreeMap<&str, _> =
+            snap.network.routers.iter().map(|r| (r.file_name.as_str(), &r.config)).collect();
+        let files = snap
+            .file_hashes
+            .iter()
+            .map(|(name, hash)| FileState {
+                hash: *hash,
+                print: configs.get(name.as_str()).map_or(*hash, |c| config_fingerprint(c)),
+                ..FileState::unknown(name.clone())
+            })
+            .collect();
+        NetFiles { name: snap.name.clone(), files, error: None }
+    }
+}
+
+/// Cached analysis of one network between refreshes.
 struct NetCache {
-    /// The network's config files (with their stats) as the layout
-    /// listed them at the last refresh — the no-syscall-beyond-stat skip
-    /// check. Empty on a cache seeded from a snapshot (forces one hash
-    /// pass).
-    stats: Vec<ConfigFile>,
-    /// Raw-byte FNV-1a-64 per file, in input order.
-    hashes: Vec<(String, u64)>,
-    /// Parse products aligned with `hashes`; empty when seeded from a
-    /// snapshot (raw parse products are not part of the artifact).
-    parsed: Vec<PreparsedFile>,
-    /// The finished analysis, shared with every corpus handed out — a
-    /// reused network costs a refcount bump per refresh, not a deep copy.
+    /// The finished analysis (its `file_hashes` are the inputs it was
+    /// built from), shared with every corpus handed out — a reused
+    /// network costs a refcount bump per refresh, not a deep copy.
     snap: Arc<NetworkSnapshot>,
     /// `snap`'s encoded section payload — the bytes spliced into the
     /// output container when the network is reused.
     payload: Vec<u8>,
 }
 
-/// Per-network classification produced by the (cheap, sequential) scan
-/// phase of a refresh, before any parallel recomputation.
-enum Work {
-    /// Inputs unchanged; the cached entry (keyed by name) stands. Fresh
-    /// stats ride along when the hash pass proved a stat-moved network
-    /// identical (touch, same-byte rewrite).
-    Reuse(Option<Vec<ConfigFile>>),
-    /// Inputs changed: re-analyze from these files, splicing cached
-    /// parse products for files whose hash is unchanged.
-    Recompute { stats: Vec<ConfigFile>, files: Vec<(String, Vec<u8>)> },
-    /// The network directory could not be listed or read.
-    Unreadable(std::io::Error),
-}
-
 /// The incremental re-analysis engine. One engine watches one directory
 /// (a single network or a `netN/` study layout, re-detected on every
-/// refresh); its cache key is the network name, i.e. the directory
+/// poll); its cache key is the network name, i.e. the directory
 /// basename.
 pub struct DeltaEngine {
     dir: PathBuf,
+    /// The last poll: a study root or not, or why the root was unlistable.
+    study: io::Result<bool>,
+    /// The per-file table, per network in layout order.
+    units: Vec<NetFiles>,
+    warnings: Vec<Diagnostic>,
     nets: BTreeMap<String, NetCache>,
 }
 
@@ -135,12 +181,18 @@ impl DeltaEngine {
     /// An engine over `dir` with an empty cache: the first
     /// [`refresh`](DeltaEngine::refresh) is a cold run that populates it.
     pub fn new(dir: &Path) -> DeltaEngine {
-        DeltaEngine { dir: dir.to_path_buf(), nets: BTreeMap::new() }
+        let (units, warnings, nets) = Default::default();
+        DeltaEngine { dir: dir.to_path_buf(), study: Ok(false), units, warnings, nets }
     }
 
-    /// The directory this engine analyzes.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// Config files in the per-file table.
+    pub fn tracked_files(&self) -> usize {
+        self.units.iter().map(|n| n.files.len()).sum()
+    }
+
+    /// The last poll's `stray-root-file` warnings ([`Layout::warnings`]).
+    pub fn warnings(&self) -> &[Diagnostic] {
+        &self.warnings
     }
 
     /// Seeds the cache from a previously persisted container: each
@@ -148,132 +200,197 @@ impl DeltaEngine {
     /// its file hashes from [`NetworkSnapshot::file_hashes`], so the next
     /// refresh reuses every network whose files still hash the same —
     /// without re-parsing or re-encoding anything. Returns the number of
-    /// networks seeded. The parse-product cache starts empty, so the
-    /// first *change* to a seeded network re-parses that network whole.
+    /// networks seeded. Files already polled keep their observed state;
+    /// every held parse product is dropped, so the first *change* to a
+    /// seeded network re-parses that network whole.
     pub fn seed_from_snapshot(&mut self, bytes: &[u8]) -> Result<usize, rd_snap::DecodeError> {
         let corpus = Corpus::from_bytes(bytes)?;
         let manifest = Manifest::read(bytes)?;
+        for file in self.units.iter_mut().flat_map(|n| &mut n.files) {
+            file.parsed = None;
+            file.fresh = false;
+        }
         let mut nets = BTreeMap::new();
         for snap in corpus.networks {
             let payload = manifest
                 .payload(bytes, &snap.name)
                 .map(|p| p.to_vec())
                 .unwrap_or_else(|| encode_payload(&snap));
-            nets.insert(
-                snap.name.clone(),
-                NetCache {
-                    stats: Vec::new(),
-                    hashes: snap.file_hashes.clone(),
-                    parsed: Vec::new(),
-                    snap,
-                    payload,
-                },
-            );
+            if !self.units.iter().any(|n| n.name == snap.name) {
+                self.units.push(NetFiles::seeded(&snap));
+            }
+            nets.insert(snap.name.clone(), NetCache { snap, payload });
         }
         let count = nets.len();
         self.nets = nets;
         Ok(count)
     }
 
-    /// Brings the cache up to date with the directory and returns the
-    /// corpus, container bytes, and delta statistics. The outputs are
+    /// Brings the per-file table up to date with one [`Layout`] scan:
+    /// files whose stat moved are read and hashed, files whose hash moved
+    /// are parsed (in parallel) and fingerprinted, and their parse
+    /// products are held for the next [`refresh`](DeltaEngine::refresh).
+    /// Returns a digest of the directory's semantics: cosmetic churn
+    /// leaves it unchanged, any semantic change moves it. A file that
+    /// cannot be read (one vanishing mid-push) folds in as a gap and an
+    /// unlistable root as a state of its own; neither is an error.
+    pub fn poll(&mut self) -> u64 {
+        let _span = rd_obs::span!("incr.poll");
+        let layout = match Layout::scan(&self.dir) {
+            Ok(layout) => layout,
+            Err(e) => {
+                self.study = Err(e);
+                return rd_snap::fnv1a64(b"unlistable");
+            }
+        };
+        self.study = Ok(layout.study);
+        self.warnings = layout.warnings();
+        let mut known: BTreeMap<String, BTreeMap<String, FileState>> =
+            std::mem::take(&mut self.units)
+                .into_iter()
+                .map(|n| (n.name, n.files.into_iter().map(|f| (f.name.clone(), f)).collect()))
+                .collect();
+        let (mut inputs, mut slots) = (Vec::new(), Vec::new());
+        for unit in layout.units {
+            let mut known = known.remove(&unit.name).unwrap_or_default();
+            let (listed, mut error) =
+                unit.files.map_or_else(|e| (Vec::new(), Some(e)), |f| (f, None));
+            let mut files = Vec::with_capacity(listed.len());
+            for file in listed {
+                let stat = Some((file.size, file.mtime_nanos));
+                let mut state =
+                    known.remove(&file.name).unwrap_or_else(|| FileState::unknown(file.name));
+                state.path = file.path;
+                if state.stat != stat {
+                    match std::fs::read(&state.path) {
+                        Ok(bytes) => {
+                            state.stat = stat;
+                            let hash = rd_snap::fnv1a64(&bytes);
+                            if hash != state.hash {
+                                state.hash = hash;
+                                slots.push((self.units.len(), files.len()));
+                                inputs.push((state.name.clone(), bytes));
+                            }
+                        }
+                        Err(e) => {
+                            error.get_or_insert(e);
+                            state =
+                                FileState { path: state.path, ..FileState::unknown(state.name) };
+                        }
+                    }
+                }
+                files.push(state);
+            }
+            self.units.push(NetFiles { name: unit.name, files, error });
+        }
+        for ((n, f), product) in slots.into_iter().zip(Network::parse_files(&inputs)) {
+            let state = &mut self.units[n].files[f];
+            state.print = product.config().map_or(state.hash, config_fingerprint);
+            state.parsed = Some(product);
+            state.fresh = true;
+        }
+        // The digest: FNV-1a-64 over the layout, names and fingerprints.
+        let mut sig = vec![layout.study as u8];
+        for net in &self.units {
+            sig.extend_from_slice(net.name.as_bytes());
+            sig.push(net.error.is_some() as u8);
+            for file in &net.files {
+                sig.extend_from_slice(file.name.as_bytes());
+                sig.push(0);
+                sig.extend_from_slice(&file.print.to_le_bytes());
+            }
+            sig.push(0xff);
+        }
+        rd_snap::fnv1a64(&sig)
+    }
+
+    /// Polls, then brings the cache up to date and returns the corpus,
+    /// container bytes, and delta statistics. The outputs are
     /// byte-identical to a cold [`snap_dir`](crate::snapshot::snap_dir)
-    /// + `to_bytes()` of the same directory at any `RD_THREADS`; only
+    /// and `to_bytes()` of the same directory at any `RD_THREADS`; only
     /// the work done differs. A failure (I/O error in single-network
     /// mode, or a panic out of the pipeline) leaves the cache as it was
     /// — commits happen only after every network's result is in hand.
     pub fn refresh(&mut self) -> Result<Refresh, LoadError> {
         let _span = rd_obs::span!("analyze.incr");
         let started = Instant::now();
-        let layout = Layout::scan(&self.dir)?;
-        let warnings = layout.warnings();
+        let digest = self.poll();
+        let study = *self.study.as_ref().map_err(|e| io::Error::new(e.kind(), e.to_string()))?;
         let budget = nettopo::error_budget();
-
-        // Scan phase (sequential, cheap): compare the layout's stats,
-        // then raw-byte hashes only for networks the stats flagged.
-        let mut classified: Vec<(String, Work)> = Vec::with_capacity(layout.units.len());
-        for unit in layout.units {
-            let work = match unit.files {
-                Ok(files) => self.classify(&unit.name, files),
-                Err(e) => Work::Unreadable(e),
-            };
-            match work {
-                // Single-network mode mirrors cold snap_dir: a read
-                // failure is a hard error, not a dropped network.
-                Work::Unreadable(e) if !layout.study => return Err(LoadError::Io(e)),
-                work => classified.push((unit.name, work)),
+        let mut errors: Vec<Option<io::Error>> =
+            self.units.iter_mut().map(|n| n.error.take()).collect();
+        if !study {
+            // Single-network mode mirrors cold snap_dir: a read failure
+            // is a hard error, not a dropped network.
+            if let Some(e) = errors.iter_mut().find_map(Option::take) {
+                return Err(LoadError::Io(e));
             }
         }
 
-        // Recompute phase: the changed networks, in parallel. Results
-        // come back in input order, so output never depends on the
-        // worker count.
-        let todo: Vec<(&str, &[ConfigFile], &[(String, Vec<u8>)])> = classified
-            .iter()
-            .filter_map(|(name, work)| match work {
-                Work::Recompute { stats, files } => {
-                    Some((name.as_str(), stats.as_slice(), files.as_slice()))
-                }
-                _ => None,
-            })
-            .collect();
-        let recomputed = rd_par::par_map(&todo, |_, (name, stats, files)| {
-            self.recompute(name, stats, files)
+        // Recompute phase, in parallel: networks whose files no longer
+        // hash as their cached snapshot was built from. Results come back
+        // in input order, so output never depends on the worker count.
+        let results = rd_par::par_map(&self.units, |i, net| {
+            let skip = errors[i].is_some()
+                || self.nets.get(&net.name).is_some_and(|c| unchanged(c, &net.files));
+            (!skip).then(|| recompute(net))
         });
 
         // Commit phase: splice the new cache together, apply the error
         // budget (study mode only — cold single-network runs never
         // drop), and assemble the output.
-        let mut stats = RefreshStats { networks: classified.len(), ..Default::default() };
-        let mut fresh = recomputed.into_iter();
-        let mut nets = BTreeMap::new();
-        let mut dropped = Vec::new();
-        let mut dropped_names = BTreeSet::new();
-        for (name, work) in classified {
-            match work {
-                Work::Reuse(new_stats) => {
+        let mut stats = RefreshStats { networks: self.units.len(), ..Default::default() };
+        let (mut nets, mut dropped, mut recomputed) = (BTreeMap::new(), Vec::new(), Vec::new());
+        for ((net, error), result) in self.units.iter_mut().zip(errors).zip(results) {
+            let result = match (error, result) {
+                (Some(e), _) => Err(e),
+                (None, Some(result)) => result,
+                (None, None) => {
                     stats.reused += 1;
-                    let mut cache = match self.nets.remove(&name) {
-                        Some(c) => c,
-                        // classify() only returns Reuse for cached names.
-                        None => continue,
-                    };
-                    if let Some(s) = new_stats {
-                        cache.stats = s;
+                    if let Some(cache) = self.nets.remove(&net.name) {
+                        nets.insert(net.name.clone(), cache);
                     }
-                    nets.insert(name, cache);
+                    continue;
                 }
-                Work::Recompute { .. } => {
+            };
+            match result {
+                Ok((cache, parsed, reparsed)) => {
                     stats.recomputed += 1;
-                    let Some((cache, reparsed)) = fresh.next() else { continue };
                     stats.files_reparsed += reparsed;
-                    nets.insert(name, cache);
+                    for (i, product) in parsed {
+                        // Held only while it matches the table's bytes.
+                        if cache.snap.file_hashes[i].1 == net.files[i].hash {
+                            net.files[i].parsed = Some(product);
+                        }
+                    }
+                    recomputed.push(net.name.clone());
+                    nets.insert(net.name.clone(), cache);
                 }
-                Work::Unreadable(e) => {
-                    dropped.push(DroppedNetwork::unreadable(&name, &e));
-                    dropped_names.insert(name);
-                }
+                // A single network is the only unit: nothing committed yet.
+                Err(e) if !study => return Err(LoadError::Io(e)),
+                Err(e) => dropped.push(DroppedNetwork::unreadable(&net.name, &e)),
             }
         }
-        if layout.study {
+        if study {
             for cache in nets.values() {
-                if let Some(drop) = DroppedNetwork::over_budget(&cache.snap, budget) {
-                    dropped_names.insert(drop.name.clone());
-                    dropped.push(drop);
-                }
+                dropped.extend(DroppedNetwork::over_budget(&cache.snap, budget));
             }
             // Cold snap_dir reports drops in subdir (name) order; the
             // two loops above may interleave unreadable and over-budget
             // entries out of order.
             dropped.sort_by(|a, b| a.name.cmp(&b.name));
         }
+        for file in self.units.iter_mut().flat_map(|n| &mut n.files) {
+            file.fresh = false;
+        }
         self.nets = nets;
         stats.dropped = dropped.len();
 
+        let dropped_names: BTreeSet<&str> = dropped.iter().map(|d| d.name.as_str()).collect();
         let survivors: Vec<&NetCache> = self
             .nets
             .values()
-            .filter(|c| !dropped_names.contains(&c.snap.name))
+            .filter(|c| !dropped_names.contains(c.snap.name.as_str()))
             .collect();
         let sections: Vec<(&str, &[u8])> = survivors
             .iter()
@@ -289,86 +406,49 @@ impl DeltaEngine {
             "incr.last_wall_us",
             started.elapsed().as_micros().min(i64::MAX as u128) as i64,
         );
-        rd_obs::trace::event(
-            "incr.refresh",
-            &[
-                ("networks", stats.networks.into()),
-                ("reused", stats.reused.into()),
-                ("recomputed", stats.recomputed.into()),
-                ("files_reparsed", stats.files_reparsed.into()),
-            ],
-        );
-        Ok(Refresh { outcome: SnapOutcome { corpus, dropped, warnings }, bytes, stats })
+        rd_obs::trace::event("incr.refresh", &stats.counters().map(|(k, v)| (k, v.into())));
+        let outcome = SnapOutcome { corpus, dropped, warnings: self.warnings.clone() };
+        Ok(Refresh { outcome, bytes, stats, recomputed, digest })
     }
+}
 
-    /// Decides what a single network needs this refresh, given its
-    /// files as the layout listed them: nothing (stats unchanged),
-    /// nothing but fresh stats (hashes unchanged), or a recompute from
-    /// freshly read files.
-    fn classify(&self, name: &str, stats: Vec<ConfigFile>) -> Work {
-        let cache = self.nets.get(name);
-        if cache.is_some_and(|c| !c.stats.is_empty() && c.stats == stats) {
-            return Work::Reuse(None);
-        }
-        let files = match read_configs(&stats) {
-            Ok(f) => f,
-            Err(e) => return Work::Unreadable(e),
-        };
-        let hashes: Vec<(String, u64)> = files
-            .iter()
-            .map(|(file, bytes)| (file.clone(), rd_snap::fnv1a64(bytes)))
-            .collect();
-        if cache.is_some_and(|c| c.hashes == hashes) {
-            return Work::Reuse(Some(stats));
-        }
-        Work::Recompute { stats, files }
-    }
+/// True when `files` hash exactly as the inputs `cache` was built from.
+fn unchanged(cache: &NetCache, files: &[FileState]) -> bool {
+    let current = files.iter().map(|f| (f.name.as_str(), f.hash));
+    cache.snap.file_hashes.iter().map(|(name, hash)| (name.as_str(), *hash)).eq(current)
+}
 
-    /// Re-analyzes one changed network, splicing cached parse products
-    /// for files whose raw hash is unchanged and parsing only the rest.
-    /// Returns the new cache entry and the number of files re-parsed.
-    fn recompute(
-        &self,
-        name: &str,
-        stats: &[ConfigFile],
-        files: &[(String, Vec<u8>)],
-    ) -> (NetCache, usize) {
-        let hashes: Vec<(String, u64)> = files
-            .iter()
-            .map(|(file, bytes)| (file.clone(), rd_snap::fnv1a64(bytes)))
-            .collect();
-        let mut cached: BTreeMap<(&str, u64), &PreparsedFile> = BTreeMap::new();
-        if let Some(cache) = self.nets.get(name) {
-            if cache.parsed.len() == cache.hashes.len() {
-                for ((file, hash), product) in cache.hashes.iter().zip(&cache.parsed) {
-                    cached.insert((file.as_str(), *hash), product);
-                }
-            }
-        }
-        let mut slots: Vec<Option<PreparsedFile>> = files.iter().map(|_| None).collect();
-        let mut fresh_files: Vec<(String, Vec<u8>)> = Vec::new();
-        let mut fresh_slots: Vec<usize> = Vec::new();
-        for (i, (file, hash)) in hashes.iter().enumerate() {
-            match cached.get(&(file.as_str(), *hash)) {
-                Some(product) => slots[i] = Some((*product).clone()),
-                None => {
-                    fresh_slots.push(i);
-                    fresh_files.push(files[i].clone());
-                }
-            }
-        }
-        let reparsed = fresh_files.len();
-        for (i, product) in fresh_slots.into_iter().zip(Network::parse_files(&fresh_files)) {
-            slots[i] = Some(product);
-        }
-        let parsed: Vec<PreparsedFile> = slots.into_iter().flatten().collect();
-        let network = Network::from_parsed(parsed.clone());
-        let mut analysis = NetworkAnalysis::from_network(network);
-        analysis.file_hashes = hashes.clone();
-        let snap = Arc::new(capture(name, analysis));
-        let payload = encode_payload(&snap);
-        (NetCache { stats: stats.to_vec(), hashes, parsed, snap, payload }, reparsed)
+type Recomputed = (NetCache, Vec<(usize, PreparsedFile)>, usize);
+
+/// Re-analyzes one changed network through the cold-path assembly. Held
+/// parse products splice in; files without one (a network seeded from a
+/// snapshot) are read and parsed here. Returns the new cache entry, the
+/// products parsed here by file index, and the number of files parsed
+/// for this refresh.
+fn recompute(net: &NetFiles) -> io::Result<Recomputed> {
+    let mut hashes: Vec<(String, u64)> =
+        net.files.iter().map(|f| (f.name.clone(), f.hash)).collect();
+    let (mut slots, mut inputs) = (Vec::new(), Vec::new());
+    for (i, file) in net.files.iter().enumerate().filter(|(_, f)| f.parsed.is_none()) {
+        let bytes = std::fs::read(&file.path)?;
+        hashes[i].1 = rd_snap::fnv1a64(&bytes);
+        slots.push(i);
+        inputs.push((file.name.clone(), bytes));
     }
+    let parsed: Vec<(usize, PreparsedFile)> =
+        slots.into_iter().zip(Network::parse_files(&inputs)).collect();
+    let mut products: Vec<Option<PreparsedFile>> =
+        net.files.iter().map(|f| f.parsed.clone()).collect();
+    for (i, product) in &parsed {
+        products[*i] = Some(product.clone());
+    }
+    let reparsed = parsed.len() + net.files.iter().filter(|f| f.fresh).count();
+    let network = Network::from_parsed(products.into_iter().flatten().collect());
+    let mut analysis = NetworkAnalysis::from_network(network);
+    analysis.file_hashes = hashes;
+    let snap = Arc::new(capture(&net.name, analysis));
+    let payload = encode_payload(&snap);
+    Ok((NetCache { snap, payload }, parsed, reparsed))
 }
 
 /// Encodes one network's section payload — the same bytes
@@ -572,5 +652,88 @@ mod tests {
         let healed = engine.refresh().expect("healed");
         assert_eq!(healed.stats.dropped, 0);
         assert_eq!(healed.bytes, cold_bytes(&tmp.0));
+    }
+
+    fn append(path: &Path, text: &str) {
+        let mut body = std::fs::read_to_string(path).expect("read");
+        body.push_str(text);
+        std::fs::write(path, body).expect("write");
+    }
+
+    #[test]
+    fn poll_digest_ignores_cosmetic_churn_and_refresh_reuses_its_parses() {
+        let tmp = study("poll");
+        let mut engine = DeltaEngine::new(&tmp.0);
+        let boot = engine.poll();
+        assert_eq!(engine.tracked_files(), 6);
+        assert_eq!(engine.poll(), boot, "an untouched directory polls the same");
+        let cold = engine.refresh().expect("cold refresh");
+        assert_eq!((cold.digest, cold.stats.files_reparsed), (boot, 6));
+
+        // Cosmetic: the digest stays, yet the refresh re-analyzes the
+        // network (its payload records the new raw hash) from the
+        // product the poll held, so the file is parsed once.
+        append(&tmp.0.join("net1").join("config1"), "!\n! a comment\n!\n");
+        assert_eq!(engine.poll(), boot);
+        let cosmetic = engine.refresh().expect("cosmetic refresh");
+        assert_eq!(cosmetic.digest, boot);
+        assert_eq!(cosmetic.recomputed, vec!["net1"]);
+        assert_eq!(cosmetic.stats.files_reparsed, 1);
+        assert_eq!(cosmetic.bytes, cold_bytes(&tmp.0));
+
+        // Semantic: the digest moves; the refresh parses nothing the
+        // poll already parsed.
+        append(
+            &tmp.0.join("net2").join("config2"),
+            "interface Loopback0\n ip address 10.7.0.1 255.255.255.255\n",
+        );
+        let moved = engine.poll();
+        assert_ne!(moved, boot);
+        assert!(engine.units[1].files[1].fresh);
+        let semantic = engine.refresh().expect("semantic refresh");
+        assert_eq!(semantic.digest, moved);
+        assert_eq!(semantic.recomputed, vec!["net2"]);
+        assert_eq!((semantic.stats.reused, semantic.stats.files_reparsed), (2, 1));
+        assert_eq!(semantic.bytes, cold_bytes(&tmp.0));
+        assert!(engine.units.iter().flat_map(|n| &n.files).all(|f| !f.fresh));
+
+        // A removed file and a new empty network both move the digest.
+        std::fs::remove_file(tmp.0.join("net3").join("config2")).expect("remove");
+        let removed = engine.poll();
+        assert_ne!(removed, moved);
+        assert_eq!(engine.tracked_files(), 5);
+        std::fs::create_dir(tmp.0.join("net4")).expect("empty network");
+        assert_ne!(engine.poll(), removed);
+    }
+
+    #[test]
+    fn seeded_state_fingerprints_like_a_poll_and_keeps_what_was_observed() {
+        let tmp = study("seedprint");
+        let net1 = tmp.0.join("net1");
+        write_config(&net1, "config3", &config("alpha3", 3));
+        write_config(&net1, "config4", &config("alpha4", 4));
+        // 1 of net1's 5 files quarantines: inside the default budget.
+        write_config(&net1, "config5", "interface E0\n ip address bad 255.0.0.0\n");
+        let bytes = cold_bytes(&tmp.0);
+        let polled = DeltaEngine::new(&tmp.0).poll();
+
+        // Seeded alone: every file is read, none parsed, same digest.
+        let mut seeded = DeltaEngine::new(&tmp.0);
+        seeded.seed_from_snapshot(&bytes).expect("seed");
+        assert_eq!(seeded.poll(), polled);
+        assert!(seeded.units.iter().flat_map(|n| &n.files).all(|f| f.parsed.is_none()));
+
+        // Seeded after a poll: the observed table stays, its parse
+        // products go.
+        let mut observed = DeltaEngine::new(&tmp.0);
+        assert_eq!(observed.poll(), polled);
+        observed.seed_from_snapshot(&bytes).expect("seed");
+        assert_eq!(observed.tracked_files(), 9);
+        assert!(observed.units.iter().flat_map(|n| &n.files).all(|f| f.stat.is_some()));
+        assert!(observed.units.iter().flat_map(|n| &n.files).all(|f| f.parsed.is_none()));
+        assert_eq!(observed.poll(), polled);
+        let refresh = observed.refresh().expect("refresh");
+        assert_eq!((refresh.stats.reused, refresh.stats.files_reparsed), (3, 0));
+        assert_eq!(refresh.bytes, bytes);
     }
 }

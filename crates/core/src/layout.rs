@@ -1,7 +1,8 @@
 //! The corpus layout: the one definition of what a config directory
-//! holds. Cold [`snap_dir`], the [`DeltaEngine`], the `rdx watch` scan
-//! and the `rdx` subcommands all list directories through
-//! [`Layout::scan`] or [`list_configs`], which own three rules:
+//! holds. Cold [`snap_dir`], the [`DeltaEngine`] (whose poll is all of
+//! `rdx watch`'s change detection) and the `rdx` subcommands list
+//! directories through [`Layout::scan`] or [`list_configs`], which own
+//! three rules:
 //!
 //! 1. **Study or single network.** A root is a study when at least one
 //!    subdirectory holds a config file; every subdirectory is then a

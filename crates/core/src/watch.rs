@@ -2,23 +2,18 @@
 //!
 //! Operators push router configs a few at a time; the analysis must keep
 //! answering queries through bad pushes, partial writes, and transient
-//! failures. [`Watcher`] polls a config directory for changes — a cheap
-//! mtime/size sweep first, then per-router FNV fingerprints
-//! ([`crate::diff::config_fingerprint`]) so cosmetic churn (comments,
-//! whitespace, `!` separators) never triggers a rebuild — debounced so a
-//! mid-push partial state coalesces into one re-analysis. Rebuilds run
-//! through the incremental delta engine
-//! ([`DeltaEngine`](crate::incremental::DeltaEngine)): only the networks
-//! the change actually touched are re-analyzed, every other network's
-//! encoded snapshot bytes splice through unchanged, and the output stays
-//! byte-identical to a cold run. Analysis runs
-//! in a failure-isolated worker: a panic, a parse failure, or an
-//! over-budget network ([`nettopo::error_budget`]) marks the attempt
-//! failed without touching the serving snapshot. Results persist through
-//! the crash-safe [`rd_snap::write_atomic`] and publish into the
+//! failures. [`Watcher`] is debounce, backoff, health and persistence
+//! around one [`DeltaEngine`], the change funnel. Each tick polls the
+//! engine, whose digest moves only on a semantic change (comments,
+//! whitespace and `!` separators leave it as it was); a change quiet for
+//! the debounce window, so a mid-push state coalesces, is re-analyzed by
+//! the engine's refresh in a failure-isolated worker: a panic, a parse
+//! failure, or an over-budget network ([`nettopo::error_budget`]) fails
+//! the attempt without touching the serving snapshot. Results persist
+//! through the crash-safe [`rd_snap::write_atomic`] and publish into the
 //! co-hosted `rd-serve` instance via its atomic-Arc swap
-//! ([`rd_serve::Controller::publish`]), so the last-good snapshot keeps
-//! serving whenever the new analysis fails.
+//! ([`rd_serve::Controller::publish`]), so last-good keeps serving
+//! whenever the new analysis fails.
 //!
 //! Failure handling is a small state machine surfaced at `/healthz` and
 //! `/admin/debug/watch`:
@@ -33,7 +28,6 @@
 //! A successful publish — or the configs reverting to the last published
 //! state — converges back to `fresh` and resets the backoff.
 
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -43,15 +37,13 @@ use rd_rng::StdRng;
 use rd_serve::{Controller, HealthState, ServeOptions, Server, WatchStatus};
 use rd_snap::Corpus;
 
-use crate::diff::config_fingerprint;
 use crate::incremental::DeltaEngine;
-use crate::layout::{ConfigFile, Layout};
-use crate::snapshot::snap_dir;
+use crate::snapshot::{snap_dir, DroppedNetwork};
 
 /// Supervisor tuning knobs.
 #[derive(Clone, Debug)]
 pub struct WatchOptions {
-    /// How often the config directory is scanned.
+    /// How often the config directory is polled.
     pub poll_interval: Duration,
     /// How long the directory must be quiet after a change before
     /// re-analysis — mid-push partial states coalesce into one rebuild.
@@ -102,29 +94,22 @@ pub enum Tick {
 ///
 /// [`run`]: Watcher::run
 pub struct Watcher {
-    dir: PathBuf,
     snapshot_path: PathBuf,
     ctrl: Controller,
     opts: WatchOptions,
     rng: StdRng,
-    /// The incremental re-analysis engine: rebuild ticks recompute only
-    /// the networks the debounced change actually touched and splice
-    /// every other network's snapshot bytes through unchanged
-    /// (`incr.*` metrics record the split).
+    /// The change funnel: ticks poll it, rebuilds refresh through it.
     engine: DeltaEngine,
-    /// Cheap signature (names + sizes + mtimes) of the last scan;
-    /// fingerprints are only recomputed when it moves.
-    scan_sig: u64,
-    /// Per-config semantic fingerprints of the latest observed state.
-    latest: BTreeMap<String, u64>,
-    /// Fingerprints at the last successful publish (what is serving).
-    published: BTreeMap<String, u64>,
+    /// The engine's semantic digest at the latest poll.
+    latest: u64,
+    /// The digest the serving snapshot was analyzed from; `None` while
+    /// it may be stale (booted from a persisted file).
+    published: Option<u64>,
     /// When `latest` last changed — the debounce clock. `None` once the
     /// change has been acted on (or at a quiet start).
     changed_at: Option<Instant>,
     /// Earliest time the next analysis attempt may run (backoff gate).
     next_attempt: Instant,
-    consecutive_failures: u32,
     status: WatchStatus,
     /// One-shot injected persist fault (chaos soak / tests).
     inject_fault: Option<DiskFault>,
@@ -134,8 +119,8 @@ pub struct Watcher {
 
 impl Watcher {
     /// Builds a watcher over `dir`, persisting snapshots to
-    /// `snapshot_path` and publishing into `ctrl`. The initial scan's
-    /// fingerprints are taken as *published* — correct when the server
+    /// `snapshot_path` and publishing into `ctrl`. The initial poll's
+    /// digest is taken as *published* — correct when the server
     /// was just booted from a fresh analysis of the same directory. If
     /// the server booted from a previously persisted (possibly stale)
     /// snapshot instead, follow with [`mark_boot_stale`], which forces
@@ -143,28 +128,23 @@ impl Watcher {
     ///
     /// [`mark_boot_stale`]: Watcher::mark_boot_stale
     pub fn new(dir: &Path, snapshot_path: &Path, ctrl: Controller, opts: WatchOptions) -> Watcher {
+        let mut engine = DeltaEngine::new(dir);
+        let latest = engine.poll();
         let mut w = Watcher {
-            dir: dir.to_path_buf(),
             snapshot_path: snapshot_path.to_path_buf(),
             ctrl,
             rng: StdRng::seed_from_u64(opts.seed ^ 0x77a7c8_57a7e5),
-            engine: DeltaEngine::new(dir),
+            engine,
             opts,
-            scan_sig: 0,
-            latest: BTreeMap::new(),
-            published: BTreeMap::new(),
+            latest,
+            published: Some(latest),
             changed_at: None,
             next_attempt: Instant::now(),
-            consecutive_failures: 0,
             status: WatchStatus::default(),
             inject_fault: None,
             inject_panic: false,
         };
-        let (sig, prints) = w.scan();
-        w.scan_sig = sig;
-        w.latest = prints.unwrap_or_default();
-        w.published = w.latest.clone();
-        w.status.fingerprints = w.latest.len();
+        w.status.fingerprints = w.engine.tracked_files();
         w.publish_status();
         w
     }
@@ -173,14 +153,14 @@ impl Watcher {
     /// persisted file): the first tick re-analyzes regardless of whether
     /// the configs changed since.
     pub fn mark_boot_stale(&mut self) {
-        self.published.clear();
+        self.published = None;
     }
 
     /// Seeds the incremental engine from persisted snapshot container
     /// bytes (the boot snapshot): the first rebuild tick then re-analyzes
     /// only the networks whose config files no longer hash the way the
-    /// snapshot recorded. Returns false (and leaves the engine cold) when
-    /// the bytes do not decode.
+    /// snapshot recorded (what the engine already polled stays). Returns
+    /// false (and leaves the engine cold) when the bytes do not decode.
     pub fn seed_from_snapshot(&mut self, bytes: &[u8]) -> bool {
         self.engine.seed_from_snapshot(bytes).is_ok()
     }
@@ -208,7 +188,7 @@ impl Watcher {
 
     /// Failed attempts since the last success.
     pub fn consecutive_failures(&self) -> u32 {
-        self.consecutive_failures
+        self.status.consecutive_failures
     }
 
     /// Failed attempts over the watcher's whole lifetime.
@@ -219,38 +199,38 @@ impl Watcher {
     /// True when the serving snapshot reflects the latest observed
     /// config state (nothing pending).
     pub fn settled(&self) -> bool {
-        self.latest == self.published
+        self.published == Some(self.latest)
     }
 
-    /// One poll cycle: scan, debounce, and — when a change is due and
-    /// the backoff allows — re-analyze, persist, and publish.
+    /// One poll cycle: poll the engine, debounce, and — when a change is
+    /// due and the backoff allows — re-analyze, persist, and publish.
     pub fn tick(&mut self) -> Tick {
         let _span = rd_obs::span!("watch.tick");
         rd_obs::metrics::counter_add("watch.scans", 1);
         let now = Instant::now();
 
-        let (sig, prints) = self.scan();
-        if sig != self.scan_sig {
-            self.scan_sig = sig;
-            let prints = prints.unwrap_or_default();
-            if prints != self.latest {
-                // A semantic change (cosmetic churn fingerprints
-                // identically and falls through). Restart the debounce
-                // window so a push in progress coalesces.
-                self.latest = prints;
-                self.changed_at = Some(now);
-                self.status.last_change_ms = self.ctrl.uptime_ms();
-                self.status.fingerprints = self.latest.len();
-                rd_obs::metrics::counter_add("watch.changes", 1);
-                self.publish_status();
-            }
+        let digest = self.engine.poll();
+        if digest != self.latest {
+            // A semantic change (cosmetic churn leaves the digest as it
+            // was). Restart the debounce window so a push in progress
+            // coalesces.
+            self.latest = digest;
+            self.changed_at = Some(now);
+            self.status.last_change_ms = self.ctrl.uptime_ms();
+            self.status.fingerprints = self.engine.tracked_files();
+            rd_obs::metrics::counter_add("watch.changes", 1);
+            self.publish_status();
+        }
+        if self.status.warnings != self.engine.warnings() {
+            self.status.warnings = self.engine.warnings().to_vec();
+            self.publish_status();
         }
 
         if self.settled() {
             // Nothing pending. If we were failing and the configs
             // reverted to the last published state, the served snapshot
             // is current again: converge back to fresh.
-            if self.consecutive_failures > 0 {
+            if self.status.consecutive_failures > 0 {
                 self.clear_failures();
                 self.ctrl.set_health(HealthState::Fresh);
                 self.publish_status();
@@ -258,12 +238,9 @@ impl Watcher {
             self.changed_at = None;
             return Tick::Idle;
         }
-        if let Some(at) = self.changed_at {
-            if now.duration_since(at) < self.opts.debounce {
-                return Tick::Waiting;
-            }
-        }
-        if now < self.next_attempt {
+        let debouncing =
+            self.changed_at.is_some_and(|at| now.duration_since(at) < self.opts.debounce);
+        if debouncing || now < self.next_attempt {
             return Tick::Waiting;
         }
         self.changed_at = None;
@@ -287,7 +264,6 @@ impl Watcher {
     /// Returns true on publish.
     fn attempt(&mut self) -> bool {
         let _span = rd_obs::span!("watch.analyze");
-        let attempt_prints = self.latest.clone();
         let inject_panic = std::mem::take(&mut self.inject_panic);
 
         // The worker: anything it throws — an injected panic, a parser
@@ -304,7 +280,7 @@ impl Watcher {
             }
             engine.refresh()
         }));
-        let (corpus, bytes) = match result {
+        let (corpus, bytes, digest) = match result {
             Err(payload) => {
                 rd_obs::metrics::counter_add("watch.analysis_panics", 1);
                 let what = payload
@@ -316,17 +292,14 @@ impl Watcher {
             }
             Ok(Err(e)) => return self.fail(format!("analysis failed: {e}")),
             Ok(Ok(refresh)) => {
+                self.status.last_refresh = refresh.stats.counters().to_vec();
+                self.status.recomputed = refresh.recomputed;
                 let outcome = refresh.outcome;
                 if !outcome.dropped.is_empty() {
-                    // Over-budget parse damage: publishing would silently
+                    // Parse damage over budget, or a network directory
+                    // unreadable mid-push: publishing would silently
                     // shrink the corpus. Keep last-good serving instead.
-                    let names: Vec<&str> =
-                        outcome.dropped.iter().map(|d| d.name.as_str()).collect();
-                    return self.fail(format!(
-                        "{} network(s) over error budget: {}",
-                        outcome.dropped.len(),
-                        names.join(", ")
-                    ));
+                    return self.fail(dropped_error(&outcome.dropped));
                 }
                 if outcome.corpus.networks.iter().all(|n| n.network.routers.is_empty()) {
                     // A vanished or emptied config dir analyzes "cleanly"
@@ -336,7 +309,7 @@ impl Watcher {
                     // of every router at once. Keep last-good.
                     return self.fail("analysis produced an empty corpus".to_string());
                 }
-                (outcome.corpus, refresh.bytes)
+                (outcome.corpus, refresh.bytes, refresh.digest)
             }
         };
 
@@ -357,7 +330,8 @@ impl Watcher {
         let _publish = rd_obs::span!("watch.publish");
         self.ctrl.publish(corpus, rd_snap::trailer_of(&bytes), "watch");
         self.ctrl.set_health(HealthState::Fresh);
-        self.published = attempt_prints;
+        self.published = Some(digest);
+        self.latest = digest;
         self.clear_failures();
         self.status.generation += 1;
         self.status.last_publish_ms = self.ctrl.uptime_ms();
@@ -370,12 +344,12 @@ impl Watcher {
     /// the health state, and schedule the retry with exponential backoff
     /// plus seeded jitter.
     fn fail(&mut self, error: String) -> bool {
-        self.consecutive_failures += 1;
+        self.status.consecutive_failures += 1;
         self.status.failures += 1;
-        self.status.consecutive_failures = self.consecutive_failures;
         self.status.last_error = Some(error.clone());
         self.ctrl.record_failure(&error);
-        self.ctrl.set_health(if self.consecutive_failures >= self.opts.degraded_after {
+        let failures = self.status.consecutive_failures;
+        self.ctrl.set_health(if failures >= self.opts.degraded_after {
             HealthState::Degraded
         } else {
             HealthState::Stale
@@ -383,8 +357,7 @@ impl Watcher {
 
         let base_ms = self.opts.backoff_base.as_millis().max(1) as u64;
         let cap_ms = self.opts.backoff_max.as_millis().max(1) as u64;
-        let exp_ms =
-            base_ms.saturating_mul(1u64 << (self.consecutive_failures - 1).min(20)).min(cap_ms);
+        let exp_ms = base_ms.saturating_mul(1u64 << (failures - 1).min(20)).min(cap_ms);
         // Up to +25% jitter so a fleet of watchers retrying against the
         // same flapping input decorrelates.
         let jitter_ms = self.rng.gen_range(0..=exp_ms / 4);
@@ -393,7 +366,7 @@ impl Watcher {
         self.status.backoff_ms = backoff.as_millis() as u64;
 
         rd_obs::metrics::counter_add("watch.publish_failed", 1);
-        rd_obs::metrics::gauge_set("watch.consecutive_failures", self.consecutive_failures as i64);
+        rd_obs::metrics::gauge_set("watch.consecutive_failures", failures as i64);
         rd_obs::metrics::gauge_set("watch.backoff_ms", self.status.backoff_ms as i64);
         eprintln!(
             "rdx watch: analysis attempt failed ({error}); serving last-good, retry in {} ms",
@@ -404,7 +377,6 @@ impl Watcher {
     }
 
     fn clear_failures(&mut self) {
-        self.consecutive_failures = 0;
         self.status.consecutive_failures = 0;
         self.status.backoff_ms = 0;
         self.status.last_error = None;
@@ -416,63 +388,14 @@ impl Watcher {
     fn publish_status(&self) {
         self.ctrl.set_watch_status(self.status.clone());
     }
+}
 
-    /// Scans the config directory through its [`Layout`]: returns a
-    /// cheap signature over (name, size, mtime) of every config file, and
-    /// — only when the signature moved since the last scan — the
-    /// per-config semantic fingerprints. Keys are `net/file` in a study
-    /// and the file name in a single network; files the layout does not
-    /// count (stray root files, dotfiles, snapshot artifacts) never move
-    /// either, so a snapshot path inside the watched tree cannot churn
-    /// the scan on every persist.
-    fn scan(&self) -> (u64, Option<BTreeMap<String, u64>>) {
-        let _span = rd_obs::span!("watch.scan");
-        let mut entries: Vec<(String, ConfigFile)> = Vec::new();
-        // An unlistable directory scans as empty: nothing to fingerprint.
-        if let Ok(layout) = Layout::scan(&self.dir) {
-            for unit in layout.units {
-                let Ok(files) = unit.files else { continue };
-                for file in files {
-                    let key = if layout.study {
-                        format!("{}/{}", unit.name, file.name)
-                    } else {
-                        file.name.clone()
-                    };
-                    entries.push((key, file));
-                }
-            }
-        }
-        let mut sig_bytes = Vec::with_capacity(entries.len() * 32);
-        for (key, file) in &entries {
-            sig_bytes.extend_from_slice(key.as_bytes());
-            sig_bytes.push(0);
-            sig_bytes.extend_from_slice(&file.size.to_le_bytes());
-            sig_bytes.extend_from_slice(&file.mtime_nanos.to_le_bytes());
-        }
-        let sig = rd_snap::fnv1a64(&sig_bytes);
-        if sig == self.scan_sig {
-            return (sig, None);
-        }
-        let mut prints = BTreeMap::new();
-        for (key, file) in entries {
-            let Ok(bytes) = std::fs::read(&file.path) else {
-                // Vanished or unreadable mid-scan: fingerprint the gap.
-                prints.insert(key, 0);
-                continue;
-            };
-            let fp = match std::str::from_utf8(&bytes) {
-                // The semantic fingerprint when it parses: cosmetic
-                // churn is invisible, any config change moves it.
-                Ok(text) => match ioscfg::parse_config(text) {
-                    Ok(config) => config_fingerprint(&config),
-                    Err(_) => rd_snap::fnv1a64(&bytes),
-                },
-                Err(_) => rd_snap::fnv1a64(&bytes),
-            };
-            prints.insert(key, fp);
-        }
-        (sig, Some(prints))
-    }
+/// The failure message for a refresh that dropped networks, with each
+/// network's own reason (over the error budget, or unreadable mid-push).
+fn dropped_error(dropped: &[DroppedNetwork]) -> String {
+    let reasons: Vec<String> =
+        dropped.iter().map(|d| format!("{}: {}", d.name, d.reason)).collect();
+    format!("{} network(s) dropped: {}", dropped.len(), reasons.join("; "))
 }
 
 /// Boots the full daemon: recovery sweep, initial snapshot (from the
@@ -523,12 +446,8 @@ pub fn run_daemon(
     } else {
         let outcome = snap_dir(dir).map_err(|e| format!("initial analysis failed: {e}"))?;
         if !outcome.dropped.is_empty() {
-            let names: Vec<&str> = outcome.dropped.iter().map(|d| d.name.as_str()).collect();
-            return Err(format!(
-                "initial analysis dropped {} network(s) ({}) and no last-good snapshot exists",
-                outcome.dropped.len(),
-                names.join(", ")
-            ));
+            let error = dropped_error(&outcome.dropped);
+            return Err(format!("initial analysis: {error}, and no last-good snapshot exists"));
         }
         if outcome.corpus.networks.iter().all(|n| n.network.routers.is_empty()) {
             return Err("initial analysis produced an empty corpus".to_string());
@@ -567,4 +486,26 @@ pub fn run_daemon(
     server.run_until_shutdown();
     supervisor.join().map_err(|_| "watch loop panicked".to_string())?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn failure_message_gives_each_dropped_network_its_own_reason() {
+        let gone = std::io::Error::new(std::io::ErrorKind::NotFound, "removed mid-push");
+        let over_budget = DroppedNetwork {
+            name: "net1".to_string(),
+            total_files: 2,
+            quarantined: 2,
+            reason: "2/2 files quarantined exceeds error budget 25%".to_string(),
+        };
+        let dropped = [over_budget, DroppedNetwork::unreadable("net3", &gone)];
+        assert_eq!(
+            dropped_error(&dropped),
+            "2 network(s) dropped: net1: 2/2 files quarantined exceeds error budget 25%; \
+             net3: network directory unreadable: i/o error: removed mid-push"
+        );
+    }
 }

@@ -175,9 +175,12 @@ impl PreparsedFile {
         &self.file_name
     }
 
-    /// True when the file was quarantined rather than parsed.
-    pub fn quarantined(&self) -> bool {
-        matches!(self.outcome, FileOutcome::Quarantined { .. })
+    /// The parsed configuration; `None` when the file was quarantined.
+    pub fn config(&self) -> Option<&RouterConfig> {
+        match &self.outcome {
+            FileOutcome::Parsed { config, .. } => Some(config),
+            FileOutcome::Quarantined { .. } => None,
+        }
     }
 }
 

@@ -202,7 +202,7 @@ pub(crate) fn render_watch(
                 out,
                 "{{\"generation\": {}, \"failures\": {}, \"consecutive_failures\": {}, \
                  \"backoff_ms\": {}, \"last_error\": {}, \"last_change_ms\": {}, \
-                 \"last_publish_ms\": {}, \"fingerprints\": {}}}",
+                 \"last_publish_ms\": {}, \"fingerprints\": {}, \"last_refresh\": ",
                 s.generation,
                 s.failures,
                 s.consecutive_failures,
@@ -211,6 +211,32 @@ pub(crate) fn render_watch(
                 s.last_change_ms,
                 s.last_publish_ms,
                 s.fingerprints,
+            );
+            if s.last_refresh.is_empty() {
+                out.push_str("null");
+            } else {
+                let counters: Vec<String> =
+                    s.last_refresh.iter().map(|(k, v)| format!("{}: {v}", quoted(k))).collect();
+                let _ = write!(out, "{{{}}}", counters.join(", "));
+            }
+            let names: Vec<String> = s.recomputed.iter().map(|n| quoted(n)).collect();
+            let warnings: Vec<String> = s
+                .warnings
+                .iter()
+                .map(|d| {
+                    format!(
+                        "{{\"file\": {}, \"code\": {}, \"message\": {}}}",
+                        quoted(&d.file),
+                        quoted(d.code),
+                        quoted(&d.message)
+                    )
+                })
+                .collect();
+            let _ = write!(
+                out,
+                ", \"recomputed\": [{}], \"warnings\": [{}]}}",
+                names.join(", "),
+                warnings.join(", ")
             );
         }
     }

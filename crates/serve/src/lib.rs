@@ -195,6 +195,13 @@ pub struct WatchStatus {
     pub last_publish_ms: u64,
     /// Router-config fingerprints currently tracked.
     pub fingerprints: usize,
+    /// Counters of the last completed refresh as `(name, value)` pairs;
+    /// empty before the first.
+    pub last_refresh: Vec<(&'static str, usize)>,
+    /// Networks the last completed refresh re-analyzed.
+    pub recomputed: Vec<String>,
+    /// Corpus layout warnings of the latest poll (`stray-root-file`).
+    pub warnings: Vec<rd_obs::Diagnostic>,
 }
 
 /// Server tuning knobs beyond the classic `(corpus, addr, workers)`.

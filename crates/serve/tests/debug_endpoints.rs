@@ -1,7 +1,8 @@
 //! `/admin/debug/*` live-state endpoints: valid JSON under a concurrent
-//! request burst, and corrupt-reload observability (the failure is
-//! counted, the old snapshot keeps serving, and the cache debug view
-//! reports the pre-failure version plus the failed event).
+//! request burst, the watch supervisor's status fields, and
+//! corrupt-reload observability (the failure is counted, the old
+//! snapshot keeps serving, and the cache debug view reports the
+//! pre-failure version plus the failed event).
 //!
 //! One test function: the rd-obs metrics registry is process-global, so
 //! splitting these scenarios across `#[test]`s would race their counters.
@@ -13,7 +14,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nettopo::{ExternalAnalysis, LinkMap, Network};
-use rd_serve::{ServeOptions, Server};
+use rd_obs::{Diagnostic, Severity};
+use rd_serve::{ServeOptions, Server, WatchStatus};
 use rd_snap::{Corpus, NetworkSnapshot};
 use routing_model::{
     classify_network, Adjacencies, InstanceGraph, Instances, ProcessGraph, Processes, Table1,
@@ -221,6 +223,36 @@ fn debug_endpoints_and_corrupt_reload_observability() {
 
     // An unknown debug path 404s like any other route.
     get(&server, "/admin/debug/nope", "404");
+
+    // /admin/debug/watch: `"watch": null` until a supervisor publishes
+    // status; then its last refresh, the networks it recomputed and the
+    // corpus layout warnings render.
+    let (_, watch_body) = get(&server, "/admin/debug/watch", "200");
+    valid_json(&watch_body);
+    assert!(watch_body.contains("\"watch\": null"), "{watch_body}");
+    server.controller().set_watch_status(WatchStatus {
+        generation: 3,
+        last_refresh: vec![("networks", 2), ("reused", 1), ("recomputed", 1)],
+        recomputed: vec!["net2".to_string()],
+        warnings: vec![Diagnostic {
+            file: "README".to_string(),
+            line: 0,
+            severity: Severity::Warning,
+            code: "stray-root-file",
+            message: "plain file at a study root belongs to no network".to_string(),
+        }],
+        ..WatchStatus::default()
+    });
+    let (_, watch_body) = get(&server, "/admin/debug/watch", "200");
+    valid_json(&watch_body);
+    for field in [
+        "\"generation\": 3",
+        "\"last_refresh\": {\"networks\": 2, \"reused\": 1, \"recomputed\": 1}",
+        "\"recomputed\": [\"net2\"]",
+        "\"warnings\": [{\"file\": \"README\", \"code\": \"stray-root-file\", ",
+    ] {
+        assert!(watch_body.contains(field), "{field} missing: {watch_body}");
+    }
 
     // Corrupt the snapshot on disk, then ask for a reload over HTTP: the
     // failure must be counted, the old cache must keep serving

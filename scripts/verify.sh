@@ -163,10 +163,10 @@ rm -f /tmp/rd_verify_chaos_t4.txt /tmp/rd_verify_chaos_t1.txt
 echo "    zero panics; sweep stdout byte-identical at both thread counts"
 
 echo "==> rdx watch: supervised reload, failure isolation, convergence (RD_THREADS=1 and 4)"
-# One full daemon lifecycle per thread count: boot, publish a semantic
-# change, survive a parse-fatal push on last-good, converge after the
-# restore. Served bodies land in $1/ so the two runs can be compared
-# byte-for-byte afterwards.
+# One full daemon lifecycle per thread count: boot, ignore a cosmetic
+# edit, publish a semantic change, survive a parse-fatal push on
+# last-good, converge after the restore. Served bodies land in $1/ so the
+# two runs can be compared byte-for-byte afterwards.
 watch_cycle() {
     WDIR="$1"
     THREADS="$2"
@@ -195,6 +195,25 @@ watch_cycle() {
     curl -sf "http://127.0.0.1:$WPORT/healthz" | grep -q '"health": "fresh"' \
         || { echo "watch did not boot fresh" >&2; exit 1; }
     curl -sf "http://127.0.0.1:$WPORT/networks/net15" > "$WDIR/body_boot.json"
+
+    # Cosmetic churn: a comment-only edit must neither publish nor move a
+    # served byte, however many polls and debounce windows pass.
+    watch_generation() {
+        curl -sf "http://127.0.0.1:$WPORT/admin/debug/watch" \
+            | sed -n 's/.*"generation": \([0-9]*\).*/\1/p'
+    }
+    GEN_BOOT=$(watch_generation)
+    [ -n "$GEN_BOOT" ] || { echo "/admin/debug/watch has no generation" >&2; exit 1; }
+    cp "$WDIR/configs/net15/config2" "$WDIR/config2.orig"
+    echo '! cosmetic comment' >> "$WDIR/configs/net15/config2"
+    sleep 0.6 # past --poll-ms 50 + --debounce-ms 100, several times over
+    GEN_COSMETIC=$(watch_generation)
+    [ "$GEN_COSMETIC" = "$GEN_BOOT" ] \
+        || { echo "a comment-only edit published (generation $GEN_BOOT -> $GEN_COSMETIC)" >&2; exit 1; }
+    curl -sf "http://127.0.0.1:$WPORT/networks/net15" > "$WDIR/body_cosmetic.json"
+    cmp "$WDIR/body_boot.json" "$WDIR/body_cosmetic.json" \
+        || { echo "a comment-only edit changed /networks/net15" >&2; exit 1; }
+    cp "$WDIR/config2.orig" "$WDIR/configs/net15/config2"
 
     # Semantic change: drop one router; the daemon must republish.
     cp "$WDIR/configs/net15/config1" "$WDIR/config1.orig"

@@ -1,8 +1,10 @@
 //! Robustness table tests for the `rdx watch` daemon pieces: crash-safe
 //! snapshot persistence (a torn staging file at *every* truncation
 //! boundary must be quarantined on recovery while the last-good file
-//! keeps reading), and failure isolation (an analysis panic must leave
-//! the co-hosted server answering byte-identically from last-good).
+//! keeps reading), failure isolation (an analysis panic must leave
+//! the co-hosted server answering byte-identically from last-good), and
+//! change detection (cosmetic churn never publishes; a one-file change
+//! re-parses one file and re-analyzes one network).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -61,6 +63,11 @@ fn get(server: &Server, path: &str) -> (String, Vec<u8>) {
     let mut body = vec![0u8; len];
     stream.read_exact(&mut body).expect("response body");
     (head, body)
+}
+
+/// The `/admin/debug/watch` body.
+fn watch_status(server: &Server) -> String {
+    String::from_utf8(get(server, "/admin/debug/watch").1).expect("utf-8 status")
 }
 
 /// Drives `tick` until the watcher reports the wanted outcome (waiting
@@ -234,6 +241,91 @@ fn disk_faults_fail_the_attempt_but_never_corrupt_last_good() {
         assert_eq!(watcher.health(), HealthState::Fresh);
     }
     assert_eq!(watcher.generation(), 3);
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
+fn cosmetic_churn_never_publishes_and_a_revert_while_failing_converges() {
+    let base = scratch_dir("cosmetic");
+    let dir = base.join("configs");
+    for net in ["net1", "net2", "net3"] {
+        let sub = dir.join(net);
+        std::fs::create_dir_all(&sub).expect("network dir");
+        std::fs::write(sub.join("ra.cfg"), RA).expect("ra.cfg");
+        std::fs::write(sub.join("rb.cfg"), RB).expect("rb.cfg");
+    }
+    let snapshot_path = base.join("last-good.rdsnap");
+
+    // Boot the way `rdx watch` does: a fresh analysis persisted, served,
+    // and seeded into the watcher's engine.
+    let outcome = routing_design::snapshot::snap_dir(&dir).expect("initial analysis");
+    let bytes = outcome.corpus.to_bytes();
+    rd_snap::write_atomic(&snapshot_path, &bytes).expect("seed snapshot");
+    let server = Server::start(outcome.corpus, "127.0.0.1:0", 1).expect("server");
+    // Long enough that the tick that sees a change always waits.
+    let opts = WatchOptions {
+        poll_interval: Duration::from_millis(1),
+        debounce: Duration::from_millis(100),
+        backoff_base: Duration::from_millis(1),
+        backoff_max: Duration::from_millis(5),
+        degraded_after: 3,
+        seed: 11,
+    };
+    let mut watcher = Watcher::new(&dir, &snapshot_path, server.controller(), opts);
+    assert!(watcher.seed_from_snapshot(&bytes));
+    let (_, boot_body) = get(&server, "/networks/net2");
+    let etag = server.etag();
+
+    // Comment-only edit: nothing to do, nothing published.
+    let ra = dir.join("net2").join("ra.cfg");
+    std::fs::write(&ra, format!("!\n! maintenance window 42\n!\n{RA}!\n")).expect("cosmetic");
+    assert_eq!(watcher.tick(), Tick::Idle);
+    assert_eq!(watcher.generation(), 0);
+    assert_eq!(server.etag(), etag);
+    assert_eq!(get(&server, "/networks/net2").1, boot_body);
+    assert_eq!(std::fs::read(&snapshot_path).expect("persisted"), bytes);
+
+    // Semantic edit: the detecting tick waits out the debounce, then the
+    // refresh re-analyzes net2 alone. A seeded network's first change
+    // re-parses it whole.
+    let semantic =
+        |tag: u8| format!("{RB}router ospf {tag}\n network 10.{tag}.0.0 0.0.0.255 area 0\n");
+    let rb = dir.join("net2").join("rb.cfg");
+    std::fs::write(&rb, semantic(7)).expect("semantic");
+    assert_eq!(watcher.tick(), Tick::Waiting);
+    tick_until(&mut watcher, Tick::Published, "first semantic edit");
+    assert_ne!(server.etag(), etag);
+    let status = watch_status(&server);
+    assert!(status.contains("\"recomputed\": [\"net2\"]"), "{status}");
+    assert!(status.contains("\"files_reparsed\": 2"), "{status}");
+
+    // From then on a one-file change parses exactly that file.
+    std::fs::write(&rb, semantic(8)).expect("semantic");
+    assert_eq!(watcher.tick(), Tick::Waiting);
+    tick_until(&mut watcher, Tick::Published, "second semantic edit");
+    assert_eq!(watcher.generation(), 2);
+    let status = watch_status(&server);
+    assert!(status.contains("\"recomputed\": [\"net2\"]"), "{status}");
+    let counters = "\"reused\": 2, \"recomputed\": 1, \"files_reparsed\": 1";
+    assert!(status.contains(counters), "{status}");
+    let cold = routing_design::snapshot::snap_dir(&dir).expect("cold run");
+    assert_eq!(std::fs::read(&snapshot_path).expect("persisted"), cold.corpus.to_bytes());
+
+    // A failing change reverted to the published state converges to
+    // fresh without another publish.
+    let published = server.etag();
+    watcher.inject_analysis_panic();
+    std::fs::write(&rb, semantic(9)).expect("semantic");
+    tick_until(&mut watcher, Tick::Failed, "injected panic");
+    assert_ne!(watcher.health(), HealthState::Fresh);
+    std::fs::write(&rb, semantic(8)).expect("revert");
+    assert_eq!(watcher.tick(), Tick::Idle);
+    assert_eq!(watcher.health(), HealthState::Fresh);
+    assert_eq!(watcher.consecutive_failures(), 0);
+    assert_eq!(watcher.generation(), 2);
+    assert_eq!(server.etag(), published);
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&base);
