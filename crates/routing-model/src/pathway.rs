@@ -9,8 +9,6 @@
 //! instance; net5's router 3 sits behind three layers of protocols and
 //! redistributions.
 
-use std::collections::{BTreeMap, VecDeque};
-
 use nettopo::RouterId;
 
 use crate::instance::{InstanceId, Instances};
@@ -37,99 +35,257 @@ pub struct PathwayGraph {
     pub edges: Vec<(InstanceNode, InstanceNode, Option<String>)>,
 }
 
-/// A reverse-flow adjacency index over one instance graph, shared
-/// across many traces.
+/// The four numbers `/pathways` reports for one router: what
+/// [`PathwayGraph`] would show, without building it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PathwaySummary {
+    /// [`PathwayGraph::max_depth`].
+    pub max_depth: usize,
+    /// [`PathwayGraph::reaches_external_world`].
+    pub reaches_external_world: bool,
+    /// `PathwayGraph::nodes.len()`.
+    pub nodes: usize,
+    /// `PathwayGraph::edges.len()`.
+    pub edges: usize,
+}
+
+/// A dense reverse-flow index over one instance graph, shared across
+/// every trace of a network.
 ///
-/// [`PathwayGraph::trace`] needs, for each reached node, the set of
-/// nodes whose routes flow *into* it. Scanning the whole edge list per
-/// dequeued node makes a single trace O(V·E); an endpoint that traces
-/// every router of a large network (the corpus-wide `/pathways` view)
-/// turns that into minutes of wall-clock. Building this index once
-/// makes each trace O(V + E), and [`PathwayIndex::seed`] exposes the
-/// depth-0 instance set so callers can deduplicate whole traces:
-/// routers with the same seed have structurally identical pathways.
+/// Nodes get dense `u32` ids in [`InstanceNode`] order — every instance
+/// first, then external ASes, then the external world — so ordering by
+/// id is ordering by node. The backward adjacency is one CSR array:
+/// `sources[offsets[b]..offsets[b + 1]]` are the nodes whose routes flow
+/// into `b`. Each node's entries are the graph's edges in insertion
+/// order (an exchange edge contributes one entry per direction, a
+/// redistribution edge one toward its `to` node), stable-sorted by
+/// source, with consecutive equal `(source, policy)` pairs collapsed —
+/// exactly the edges [`PathwayIndex::trace`] reports into `b`, so the
+/// range length is `b`'s edge weight: interleaved policies `p1, p2, p1`
+/// on one pair count 3, and an exchange self-loop counts 1.
+///
+/// Both [`trace`](PathwayIndex::trace) and
+/// [`summaries`](PathwayIndex::summaries) run the same queue BFS over
+/// the CSR. `max_depth` is the BFS depth: the *shortest* distance from
+/// the seed set, maximised over reached nodes. `summaries` folds the
+/// four numbers as nodes are dequeued and reuses one generation-stamped
+/// visited array across routers, so it allocates nothing per router.
 pub struct PathwayIndex {
-    /// node → `(source, policy)` pairs whose routes flow into it.
-    backward: BTreeMap<InstanceNode, Vec<(InstanceNode, Option<String>)>>,
-    /// router → instances it participates in (the trace seed), in
+    /// Dense id → node.
+    nodes: Vec<InstanceNode>,
+    /// CSR row starts (one per node, plus the end).
+    offsets: Vec<u32>,
+    /// Backward entries: the source of each.
+    sources: Vec<u32>,
+    /// Backward entries: the redistribution policy of each.
+    policies: Vec<Option<String>>,
+    /// Per node: an external AS or the external world.
+    external: Vec<bool>,
+    /// Router → instances it participates in (the trace seed), in
     /// `instances.list` order.
-    membership: BTreeMap<RouterId, Vec<InstanceId>>,
+    seeds: Vec<Vec<InstanceId>>,
+}
+
+/// BFS scratch, reusable across walks: a node is reached iff its stamp
+/// equals the current generation, so starting a walk clears nothing.
+struct Walk {
+    stamp: Vec<u32>,
+    depth: Vec<u32>,
+    /// Reached nodes in BFS order; the unprocessed tail is the queue.
+    order: Vec<u32>,
+    generation: u32,
+}
+
+impl Walk {
+    fn new(nodes: usize) -> Walk {
+        Walk {
+            stamp: vec![0; nodes],
+            depth: vec![0; nodes],
+            order: Vec::new(),
+            generation: 0,
+        }
+    }
+
+    /// Marks `v` reached at `depth` unless it already is.
+    fn reach(&mut self, v: u32, depth: u32) {
+        let slot = v as usize;
+        if self.stamp[slot] != self.generation {
+            self.stamp[slot] = self.generation;
+            self.depth[slot] = depth;
+            self.order.push(v);
+        }
+    }
 }
 
 impl PathwayIndex {
     /// Indexes `graph` for repeated tracing.
     pub fn new(instances: &Instances, graph: &InstanceGraph) -> PathwayIndex {
-        let mut backward: BTreeMap<InstanceNode, Vec<(InstanceNode, Option<String>)>> =
-            BTreeMap::new();
+        let mut nodes: Vec<InstanceNode> = instances
+            .list
+            .iter()
+            .map(|i| InstanceNode::Instance(i.id))
+            .chain(graph.nodes.iter().copied())
+            .chain(graph.edges.iter().flat_map(|e| [e.from, e.to]))
+            .collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        // Dense ids, depths and CSR offsets are u32; `2 * edges` bounds
+        // the entry count.
+        assert!(
+            u32::try_from(nodes.len()).is_ok() && u32::try_from(2 * graph.edges.len()).is_ok(),
+            "instance graph too large for u32 pathway ids"
+        );
+        let id = |node: InstanceNode| -> u32 {
+            nodes
+                .binary_search(&node)
+                .expect("every edge endpoint is in the node table") as u32
+        };
+
+        // Backward entries `(dest, source, policy)` in graph-edge order.
+        let mut entries: Vec<(u32, u32, Option<&String>)> =
+            Vec::with_capacity(2 * graph.edges.len());
         for e in &graph.edges {
+            let (from, to) = (id(e.from), id(e.to));
             match &e.kind {
                 // Redistribution is directed: routes flow from → to.
                 ExchangeKind::Redistribution { policy, .. } => {
-                    backward.entry(e.to).or_default().push((e.from, policy.clone()));
+                    entries.push((to, from, policy.as_ref()));
                 }
                 // Exchange edges (EBGP, IGP edges) flow both ways.
                 ExchangeKind::Ebgp { .. } | ExchangeKind::IgpEdge { .. } => {
-                    backward.entry(e.to).or_default().push((e.from, None));
-                    backward.entry(e.from).or_default().push((e.to, None));
+                    entries.push((to, from, None));
+                    entries.push((from, to, None));
                 }
             }
         }
-        let mut membership: BTreeMap<RouterId, Vec<InstanceId>> = BTreeMap::new();
+        // Stable, so each (dest, source) run keeps graph-edge order.
+        entries.sort_by_key(|&(dest, source, _)| (dest, source));
+        entries.dedup();
+
+        let mut offsets = vec![0u32; nodes.len() + 1];
+        for &(dest, _, _) in &entries {
+            offsets[dest as usize + 1] += 1;
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+
+        let mut seeds: Vec<Vec<InstanceId>> = Vec::new();
         for inst in &instances.list {
             for router in &inst.routers {
-                membership.entry(*router).or_default().push(inst.id);
+                if seeds.len() <= router.0 {
+                    seeds.resize_with(router.0 + 1, Vec::new);
+                }
+                seeds[router.0].push(inst.id);
             }
         }
-        PathwayIndex { backward, membership }
+
+        PathwayIndex {
+            external: nodes
+                .iter()
+                .map(|n| !matches!(n, InstanceNode::Instance(_)))
+                .collect(),
+            sources: entries.iter().map(|&(_, source, _)| source).collect(),
+            policies: entries
+                .iter()
+                .map(|&(_, _, policy)| policy.cloned())
+                .collect(),
+            nodes,
+            offsets,
+            seeds,
+        }
     }
 
     /// The depth-0 instance set of `router` — its trace seed. Two
     /// routers with equal seeds produce pathways that differ only in
     /// the `router` field.
     pub fn seed(&self, router: RouterId) -> &[InstanceId] {
-        self.membership.get(&router).map(Vec::as_slice).unwrap_or(&[])
+        self.seeds.get(router.0).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// The backward-entry range of node `v`.
+    fn incoming(&self, v: u32) -> std::ops::Range<usize> {
+        self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize
+    }
+
+    /// Breadth-first search backward along route flow from `router`'s
+    /// seed, calling `visit(node, depth)` as each reached node is
+    /// dequeued.
+    fn walk(&self, router: RouterId, walk: &mut Walk, mut visit: impl FnMut(u32, u32)) {
+        walk.generation = walk.generation.wrapping_add(1);
+        if walk.generation == 0 {
+            walk.stamp.fill(0);
+            walk.generation = 1;
+        }
+        walk.order.clear();
+        // Depth 0: instances this router participates in feed its RIB.
+        for id in self.seed(router) {
+            let v = self.nodes.binary_search(&InstanceNode::Instance(*id));
+            walk.reach(v.expect("every instance is in the node table") as u32, 0);
+        }
+        let mut head = 0;
+        while let Some(&v) = walk.order.get(head) {
+            head += 1;
+            let depth = walk.depth[v as usize];
+            visit(v, depth);
+            for k in self.incoming(v) {
+                walk.reach(self.sources[k], depth + 1);
+            }
+        }
+    }
+
+    /// The [`PathwaySummary`] of every router `0..routers`, indexed by
+    /// router — the same numbers [`trace`](PathwayIndex::trace) yields,
+    /// without materializing any pathway.
+    pub fn summaries(&self, routers: usize) -> Vec<PathwaySummary> {
+        let mut walk = Walk::new(self.nodes.len());
+        (0..routers)
+            .map(|r| {
+                let mut s = PathwaySummary::default();
+                self.walk(RouterId(r), &mut walk, |v, depth| {
+                    s.max_depth = s.max_depth.max(depth as usize);
+                    s.reaches_external_world |= self.external[v as usize];
+                    s.nodes += 1;
+                    s.edges += self.incoming(v).len();
+                });
+                s
+            })
+            .collect()
     }
 
     /// Traces where `router`'s routes come from.
     pub fn trace(&self, router: RouterId) -> PathwayGraph {
-        let mut depths: BTreeMap<InstanceNode, usize> = BTreeMap::new();
-        let mut edges = Vec::new();
-        let mut queue: VecDeque<InstanceNode> = VecDeque::new();
-
-        // Depth 0: instances this router participates in feed its RIB.
-        for id in self.seed(router) {
-            let node = InstanceNode::Instance(*id);
-            depths.insert(node, 0);
-            queue.push_back(node);
-        }
-
-        // Walk edges *backwards* along route flow via the prebuilt
-        // index. A self-loop contributes its entry twice (once per
-        // endpoint); the sort + dedup below collapses it, matching the
-        // single match-arm hit of the unindexed scan.
-        while let Some(current) = queue.pop_front() {
-            let depth = depths[&current];
-            let Some(incoming) = self.backward.get(&current) else {
-                continue;
-            };
-            for (source, policy) in incoming {
-                edges.push((*source, current, policy.clone()));
-                if !depths.contains_key(source) {
-                    depths.insert(*source, depth + 1);
-                    queue.push_back(*source);
-                }
-            }
-        }
-
-        let mut nodes: Vec<PathwayNode> = depths
-            .into_iter()
-            .map(|(node, depth)| PathwayNode { node, depth })
+        let mut walk = Walk::new(self.nodes.len());
+        let mut reached: Vec<(u32, u32)> = Vec::new();
+        self.walk(router, &mut walk, |v, depth| reached.push((depth, v)));
+        // Dense ids order like nodes, so (depth, id) is (depth, node), and
+        // the entry index keeps each (source, dest) run in graph order.
+        reached.sort_unstable();
+        let mut edges: Vec<(u32, u32, usize)> = reached
+            .iter()
+            .flat_map(|&(_, dest)| self.incoming(dest).map(move |k| (self.sources[k], dest, k)))
             .collect();
-        nodes.sort_by_key(|n| (n.depth, n.node));
-        edges.sort_by_key(|(a, b, _)| (*a, *b));
-        edges.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1 && a.2 == b.2);
-
-        PathwayGraph { router, nodes, edges }
+        edges.sort_unstable();
+        PathwayGraph {
+            router,
+            nodes: reached
+                .iter()
+                .map(|&(depth, v)| PathwayNode {
+                    node: self.nodes[v as usize],
+                    depth: depth as usize,
+                })
+                .collect(),
+            edges: edges
+                .into_iter()
+                .map(|(source, dest, k)| {
+                    (
+                        self.nodes[source as usize],
+                        self.nodes[dest as usize],
+                        self.policies[k].clone(),
+                    )
+                })
+                .collect(),
+        }
     }
 }
 
@@ -137,11 +293,7 @@ impl PathwayGraph {
     /// Traces where `router`'s routes come from. One-shot form of
     /// [`PathwayIndex::trace`]; callers tracing many routers of the
     /// same network should build the index once instead.
-    pub fn trace(
-        router: RouterId,
-        instances: &Instances,
-        graph: &InstanceGraph,
-    ) -> PathwayGraph {
+    pub fn trace(router: RouterId, instances: &Instances, graph: &InstanceGraph) -> PathwayGraph {
         PathwayIndex::new(instances, graph).trace(router)
     }
 
@@ -154,7 +306,10 @@ impl PathwayGraph {
     /// True if routes from the external world can reach this router.
     pub fn reaches_external_world(&self) -> bool {
         self.nodes.iter().any(|n| {
-            matches!(n.node, InstanceNode::ExternalAs(_) | InstanceNode::ExternalWorld)
+            matches!(
+                n.node,
+                InstanceNode::ExternalAs(_) | InstanceNode::ExternalWorld
+            )
         })
     }
 
@@ -216,8 +371,7 @@ mod tests {
         assert_eq!(pathway.max_depth(), 2);
         assert!(pathway.reaches_external_world());
         assert_eq!(pathway.instances().len(), 2);
-        let depth0: Vec<&PathwayNode> =
-            pathway.nodes.iter().filter(|n| n.depth == 0).collect();
+        let depth0: Vec<&PathwayNode> = pathway.nodes.iter().filter(|n| n.depth == 0).collect();
         assert_eq!(depth0.len(), 1);
     }
 

@@ -18,6 +18,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 use rd_snap::Corpus;
 
@@ -48,6 +49,8 @@ pub(crate) struct SnapshotState {
     pub cache_body_bytes: usize,
     /// Total cached pre-framed response bytes.
     pub cache_resp_bytes: usize,
+    /// Wall time of the cache build in µs (0 under `--no-cache`).
+    pub build_us: u64,
     /// The reconfiguration plan document served at `/plan`
     /// (`rdx serve --plan`); `None` 404s the endpoint. Shared by Arc so
     /// hot reload re-attaches the same plan to the fresh snapshot.
@@ -58,7 +61,9 @@ impl SnapshotState {
     /// Renders every static endpoint of `corpus` once (unless
     /// `cache_enabled` is off) and fixes the entity tag from the
     /// snapshot's FNV-1a-64 `trailer` — recomputed by re-encoding when
-    /// the corpus did not come from a snapshot file.
+    /// the corpus did not come from a snapshot file. The build time and
+    /// the `/pathways` render time land in the `serve.cache_build_us`
+    /// and `serve.render_pathways_us` gauges.
     pub fn build(
         corpus: Corpus,
         trailer: Option<u64>,
@@ -70,11 +75,14 @@ impl SnapshotState {
         let corpus = Arc::new(corpus);
         let mut cache = BTreeMap::new();
         let (mut cache_body_bytes, mut cache_resp_bytes) = (0usize, 0usize);
+        let started = Instant::now();
+        let mut pathways_us = 0;
         if cache_enabled {
             // Profiled as one span with a child per endpoint render, so
             // `--profile` shows where reload-rebuild time goes.
             let _span = rd_obs::span!("serve.cache_build");
             for path in static_paths(&corpus, plan.is_some()) {
+                let rendered = Instant::now();
                 let body = {
                     let _render = rd_obs::span!("render:{}", path);
                     let Some(body) = render_path(&corpus, plan_text(&plan), &path) else {
@@ -82,6 +90,9 @@ impl SnapshotState {
                     };
                     body.into_bytes()
                 };
+                if path == "/pathways" {
+                    pathways_us = rendered.elapsed().as_micros() as u64;
+                }
                 let mut resp_ka = Vec::with_capacity(body.len() + 160);
                 http::push_response(
                     &mut resp_ka,
@@ -98,6 +109,9 @@ impl SnapshotState {
                 cache.insert(path, Cached { body, resp_ka });
             }
         }
+        let build_us = started.elapsed().as_micros() as u64;
+        rd_obs::metrics::gauge_set("serve.cache_build_us", build_us as i64);
+        rd_obs::metrics::gauge_set("serve.render_pathways_us", pathways_us as i64);
         let mut not_modified_ka = Vec::with_capacity(96);
         http::push_response(&mut not_modified_ka, 304, "", b"", true, Some(&etag), "", false);
         SnapshotState {
@@ -107,6 +121,7 @@ impl SnapshotState {
             not_modified_ka,
             cache_body_bytes,
             cache_resp_bytes,
+            build_us,
             plan,
         }
     }

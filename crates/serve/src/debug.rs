@@ -74,6 +74,9 @@ pub(crate) struct ReloadEvent {
     pub etag: String,
     /// Networks in the serving corpus after this event.
     pub networks: usize,
+    /// The new snapshot's cache build time in µs; `None` when the event
+    /// built nothing (a failure).
+    pub build_us: Option<u64>,
     /// `"boot"`, `"reload"`, or the failure message.
     pub detail: String,
 }
@@ -167,9 +170,13 @@ pub(crate) fn render_cache(
         if i > 0 {
             out.push_str(", ");
         }
+        let build_ms = match ev.build_us {
+            Some(us) => format!("{}.{:03}", us / 1000, us % 1000),
+            None => "null".to_string(),
+        };
         let _ = write!(
             out,
-            "{{\"at_ms\": {}, \"ok\": {}, \"etag\": {}, \"networks\": {}, \"detail\": {}}}",
+            "{{\"at_ms\": {}, \"ok\": {}, \"etag\": {}, \"networks\": {}, \"build_ms\": {build_ms}, \"detail\": {}}}",
             ev.at_ms,
             ev.ok,
             quoted(&ev.etag),

@@ -442,6 +442,7 @@ impl Server {
             ok: true,
             etag: state.etag.clone(),
             networks: state.corpus.networks.len(),
+            build_us: Some(state.build_us),
             detail: "boot".to_string(),
         };
         let loops = if opts.workers == 0 { rd_par::thread_count().max(1) } else { opts.workers };
@@ -580,6 +581,7 @@ impl Controller {
             ok: true,
             etag: state.etag.clone(),
             networks: state.corpus.networks.len(),
+            build_us: Some(state.build_us),
             detail: detail.to_string(),
         };
         self.shared.swap_state(Arc::new(state));
@@ -595,6 +597,7 @@ impl Controller {
             ok: false,
             etag: st.etag.clone(),
             networks: st.corpus.networks.len(),
+            build_us: None,
             detail: detail.to_string(),
         });
     }

@@ -48,7 +48,8 @@ pub(crate) fn run(shared: Arc<Shared>) {
                     shared.cache_enabled,
                     shared.plan.clone(),
                 );
-                let (etag, networks) = (state.etag.clone(), state.corpus.networks.len());
+                let (etag, networks, build_us) =
+                    (state.etag.clone(), state.corpus.networks.len(), state.build_us);
                 shared.swap_state(Arc::new(state));
                 shared.set_health(crate::HealthState::Fresh);
                 rd_obs::metrics::counter_add("http.reload_ok", 1);
@@ -57,6 +58,7 @@ pub(crate) fn run(shared: Arc<Shared>) {
                     ok: true,
                     etag,
                     networks,
+                    build_us: Some(build_us),
                     detail: "reload".to_string(),
                 });
             }
@@ -74,6 +76,7 @@ pub(crate) fn run(shared: Arc<Shared>) {
                     ok: false,
                     etag: still.etag.clone(),
                     networks: still.corpus.networks.len(),
+                    build_us: None,
                     detail: e.to_string(),
                 });
             }

@@ -186,33 +186,17 @@ pub fn instances(corpus: &Corpus) -> String {
 pub fn pathways(corpus: &Corpus) -> String {
     let mut rows = Vec::new();
     for n in &corpus.networks {
-        // One shared reverse-flow index per network, and one trace per
-        // distinct instance-membership seed: routers with equal seeds
-        // have identical pathway structure, so a large network costs a
-        // handful of traces instead of one per router.
         let index = PathwayIndex::new(&n.instances, &n.instance_graph);
-        let mut memo: std::collections::BTreeMap<Vec<routing_model::InstanceId>, (usize, bool, usize, usize)> =
-            std::collections::BTreeMap::new();
-        for (idx, router) in n.network.routers.iter().enumerate() {
-            let rid = nettopo::RouterId(idx);
-            let seed = index.seed(rid).to_vec();
-            let (max_depth, reaches, nodes, edges) = *memo.entry(seed).or_insert_with(|| {
-                let pathway = index.trace(rid);
-                (
-                    pathway.max_depth(),
-                    pathway.reaches_external_world(),
-                    pathway.nodes.len(),
-                    pathway.edges.len(),
-                )
-            });
+        let summaries = index.summaries(n.network.routers.len());
+        for (router, s) in n.network.routers.iter().zip(summaries) {
             rows.push(format!(
                 "    {{\"network\": \"{}\", \"router\": \"{}\", \"max_depth\": {}, \"reaches_external_world\": {}, \"nodes\": {}, \"edges\": {}}}",
                 escape(&n.name),
                 escape(router.name()),
-                max_depth,
-                reaches,
-                nodes,
-                edges
+                s.max_depth,
+                s.reaches_external_world,
+                s.nodes,
+                s.edges
             ));
         }
     }

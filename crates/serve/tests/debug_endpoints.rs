@@ -220,6 +220,19 @@ fn debug_endpoints_and_corrupt_reload_observability() {
     assert!(cache_body.contains("\"networks\": 2"), "{cache_body}");
     assert!(cache_body.contains("\"detail\": \"boot\""), "{cache_body}");
     assert!(!cache_body.contains("\"entries\": 0,"), "cache unexpectedly empty: {cache_body}");
+    // Each history entry carries its cache build time in ms.
+    let boot_build_ms = cache_body
+        .split("\"build_ms\": ")
+        .nth(1)
+        .and_then(|rest| rest.split(", \"detail\": \"boot\"").next())
+        .and_then(|ms| ms.parse::<f64>().ok());
+    assert!(boot_build_ms.is_some(), "boot entry has no build_ms: {cache_body}");
+
+    // The cache build's cost is readable off /metrics.
+    let (_, metrics) = get(&server, "/metrics", "200");
+    for family in ["serve_cache_build_us ", "serve_render_pathways_us "] {
+        assert!(metrics.contains(family), "{family}missing from /metrics: {metrics}");
+    }
 
     // An unknown debug path 404s like any other route.
     get(&server, "/admin/debug/nope", "404");
@@ -284,6 +297,7 @@ fn debug_endpoints_and_corrupt_reload_observability() {
     valid_json(&cache_body);
     assert!(cache_body.contains(&etag_hex), "pre-failure etag gone: {cache_body}");
     assert!(cache_body.contains("\"ok\": false"), "failed event missing: {cache_body}");
+    assert!(cache_body.contains("\"build_ms\": null"), "failed event built a cache: {cache_body}");
     assert!(cache_body.contains("\"detail\": \"boot\""), "boot event dropped: {cache_body}");
 
     stop.store(true, Ordering::Relaxed);

@@ -106,6 +106,7 @@ for family in http_request_us_bucket http_cache_hit_total http_cache_miss_total 
     http_rejected_busy_total http_conn_age_ms_bucket loop_wakeups_total \
     loop_epoll_wait_us_bucket loop_wakeup_events_bucket loop_iter_us_bucket \
     loop_slab_live_hw loop_wheel_depth_hw loop_backpressure_engaged_total \
+    serve_cache_build_us serve_render_pathways_us \
     rd_build_info process_uptime_seconds; do
     grep -q "^$family" /tmp/rd_verify_metrics.txt \
         || { echo "metrics contract: $family missing from /metrics" >&2; exit 1; }
@@ -400,6 +401,37 @@ if [ "${1:-}" = "--bench" ]; then
         fi
         echo "    bench_serve ${NEW_RPS} req/s above floor ${SERVE_FLOOR} req/s"
     fi
+
+    # Full-scale cache-build budget: every other stage runs on --small,
+    # where a per-router /pathways trace is cheap enough to hide. 3 s is
+    # ~15x the dense pathway summary's measured build and far under the
+    # 11-14 s that tracing every router cost.
+    echo "==> full-scale response-cache build within 3 s"
+    ./target/release/emit_study /tmp/rd_verify_full > /dev/null 2>&1
+    ./target/release/rdx snap /tmp/rd_verify_full -o /tmp/rd_verify_full.rdsnap > /dev/null
+    ./target/release/rdx serve /tmp/rd_verify_full.rdsnap --addr 127.0.0.1:0 \
+        > /tmp/rd_verify_full_serve.txt &
+    FULL_PID=$!
+    FPORT=""
+    i=0
+    while [ $i -lt 600 ]; do
+        FPORT=$(sed -n 's|.*http://127\.0\.0\.1:\([0-9]*\).*|\1|p' /tmp/rd_verify_full_serve.txt)
+        [ -n "$FPORT" ] && break
+        sleep 0.1
+        i=$((i + 1))
+    done
+    [ -n "$FPORT" ] || { echo "full-scale serve never printed its port" >&2; exit 1; }
+    BUILD_US=$(curl -sf "http://127.0.0.1:$FPORT/metrics" | sed -n 's/^serve_cache_build_us //p')
+    PATHWAYS_US=$(curl -sf "http://127.0.0.1:$FPORT/metrics" | sed -n 's/^serve_render_pathways_us //p')
+    kill -TERM "$FULL_PID"
+    wait "$FULL_PID"
+    rm -rf /tmp/rd_verify_full /tmp/rd_verify_full.rdsnap /tmp/rd_verify_full_serve.txt
+    [ -n "$BUILD_US" ] || { echo "serve_cache_build_us missing from /metrics" >&2; exit 1; }
+    if [ "$BUILD_US" -gt 3000000 ]; then
+        echo "full-scale cache build ${BUILD_US} us exceeds the 3 s budget (/pathways ${PATHWAYS_US} us)" >&2
+        exit 1
+    fi
+    echo "    cache build ${BUILD_US} us (/pathways ${PATHWAYS_US} us) within the 3,000,000 us budget"
 fi
 
 echo "verify: all checks passed"
