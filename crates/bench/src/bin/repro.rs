@@ -364,12 +364,7 @@ fn bench(small_only: bool) {
         rd_bench::timing::study_corpus(StudyScale::Small)
     };
     let load = rd_bench::loadgen::LoadOptions::default();
-    let (serve, serve_load) =
-        rd_bench::timing::bench_serve_with_load(serve_corpus, 200, &load);
-    eprintln!(
-        "  serve: {} requests, p50 {} us, p99 {} us, {:.0} req/s",
-        serve.requests, serve.p50_us, serve.p99_us, serve.throughput_rps,
-    );
+    let serve_load = rd_bench::timing::bench_serve_with_load(serve_corpus, &load);
     eprintln!(
         "  loadgen: {} conns x {} pipelined, {} requests ({} errors), {:.0} req/s, \
          p50 {} us, p99 {} us, p99.9 {} us",
@@ -420,7 +415,6 @@ fn bench(small_only: bool) {
         render_json(
             &results,
             Some(&snap),
-            Some(&serve),
             Some(&serve_load),
             Some(&external),
             Some(&plans),

@@ -1,11 +1,8 @@
 //! The self-contained bench mode behind `repro --bench`: times the
 //! generate + analyze pipeline per network and per stage, and renders the
 //! result as `BENCH_repro.json` — hand-rolled JSON, so the harness works
-//! with no external crates and no network access (criterion stays an
-//! opt-in feature; see `criterion-benches` in this crate's manifest).
+//! with no external crates and no network access.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use netgen::{study_roster, StudyScale};
@@ -192,7 +189,7 @@ impl SnapBench {
 
 /// Snapshots an analyzed study in memory, timing the encode and decode
 /// halves. Returns the record plus the decoded corpus (handy for pushing
-/// straight into [`bench_serve`]).
+/// straight into [`bench_serve_with_load`]).
 ///
 /// Consumes the analyses so at most one full copy of the study is alive
 /// at a time — on memory-tight machines, extra resident copies perturb
@@ -252,82 +249,6 @@ pub fn bench_snapshot_ref(networks: &[StudyNetwork]) -> (SnapBench, Corpus) {
     )
 }
 
-/// Latency record of a short `rd-serve` request burst.
-pub struct ServeBench {
-    /// Requests measured (after warmup).
-    pub requests: usize,
-    /// Median request latency, microseconds.
-    pub p50_us: u64,
-    /// 99th-percentile request latency, microseconds.
-    pub p99_us: u64,
-    /// Requests per second over the whole burst.
-    pub throughput_rps: f64,
-}
-
-/// One HTTP/1.1 GET over an existing keep-alive connection, framed by
-/// `content-length`. Returns the body length.
-fn keepalive_get(stream: &mut TcpStream, path: &str) -> usize {
-    stream
-        .write_all(format!("GET {path} HTTP/1.1\r\nhost: bench\r\n\r\n").as_bytes())
-        .expect("request written");
-    let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") {
-        stream.read_exact(&mut byte).expect("response head");
-        head.push(byte[0]);
-    }
-    let head = String::from_utf8(head).expect("ascii head");
-    assert!(head.starts_with("HTTP/1.1 200"), "unexpected status: {head}");
-    let len: usize = head
-        .lines()
-        .find_map(|l| l.strip_prefix("content-length: "))
-        .expect("content-length")
-        .parse()
-        .expect("numeric length");
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body).expect("response body");
-    len
-}
-
-/// Measures `requests` sequential GETs of `path` over one keep-alive
-/// connection to an already-running server.
-fn serve_burst(server: &rd_serve::Server, path: &str, requests: usize) -> ServeBench {
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
-    for _ in 0..5 {
-        keepalive_get(&mut stream, path);
-    }
-    let mut latencies = Vec::with_capacity(requests);
-    let started = Instant::now();
-    for _ in 0..requests {
-        let t = Instant::now();
-        keepalive_get(&mut stream, path);
-        latencies.push(t.elapsed().as_micros() as u64);
-    }
-    let wall = started.elapsed();
-    latencies.sort_unstable();
-    let pick = |q: f64| latencies[((latencies.len() - 1) as f64 * q) as usize];
-    ServeBench {
-        requests,
-        p50_us: pick(0.50),
-        p99_us: pick(0.99),
-        throughput_rps: requests as f64 / wall.as_secs_f64().max(1e-9),
-    }
-}
-
-/// Serves `corpus` on an ephemeral port and measures `requests` GETs of
-/// `/networks/{first}` over one keep-alive connection.
-pub fn bench_serve(corpus: Corpus, requests: usize) -> ServeBench {
-    let path = match corpus.networks.first() {
-        Some(n) => format!("/networks/{}", n.name),
-        None => "/networks".to_string(),
-    };
-    let server = rd_serve::Server::start(corpus, "127.0.0.1:0", 0).expect("bench server");
-    let result = serve_burst(&server, &path, requests);
-    server.shutdown();
-    result
-}
-
 /// Result of the pipelined mixed-endpoint load run (`bench_serve` in
 /// `BENCH_repro.json`): what the epoll server sustains when clients
 /// batch requests instead of strict request/response lockstep.
@@ -352,22 +273,11 @@ pub struct ServeLoadBench {
     pub p999_us: u64,
 }
 
-/// Starts one server over `corpus` and measures both serve benchmarks
-/// against it: the sequential single-connection burst (the `serve`
-/// section, comparable across benchmark history) and the pipelined
-/// mixed-endpoint load run (the `bench_serve` section).
-pub fn bench_serve_with_load(
-    corpus: Corpus,
-    requests: usize,
-    load: &crate::loadgen::LoadOptions,
-) -> (ServeBench, ServeLoadBench) {
+/// Starts one server over `corpus` and measures the pipelined
+/// mixed-endpoint load run against it (the `bench_serve` section).
+pub fn bench_serve_with_load(corpus: Corpus, load: &crate::loadgen::LoadOptions) -> ServeLoadBench {
     let names: Vec<String> = corpus.networks.iter().map(|n| n.name.clone()).collect();
-    let burst_path = match names.first() {
-        Some(n) => format!("/networks/{n}"),
-        None => "/networks".to_string(),
-    };
     let server = rd_serve::Server::start(corpus, "127.0.0.1:0", 0).expect("bench server");
-    let burst = serve_burst(&server, &burst_path, requests);
     let opts = crate::loadgen::LoadOptions {
         conns: load.conns,
         pipeline: load.pipeline,
@@ -382,7 +292,7 @@ pub fn bench_serve_with_load(
     };
     let stats = crate::loadgen::run(server.local_addr(), &opts).expect("load run");
     server.shutdown();
-    let load_bench = ServeLoadBench {
+    ServeLoadBench {
         conns: opts.conns,
         pipeline: opts.pipeline,
         duration: stats.duration,
@@ -392,8 +302,7 @@ pub fn bench_serve_with_load(
         p50_us: stats.p50_us,
         p99_us: stats.p99_us,
         p999_us: stats.p999_us,
-    };
-    (burst, load_bench)
+    }
 }
 
 /// Timing record of one reconfiguration-planning scenario (`bench_plan`
@@ -563,8 +472,7 @@ fn json_stages(indent: &str, t: &StageTimings) -> String {
 /// document additionally carries the `rd-obs` metrics registry as a
 /// top-level `"metrics"` object (counters/gauges as numbers, histograms
 /// as objects), and — when measured — `"snap"` (snapshot size and
-/// write/load timings vs re-analysis), `"serve"` (sequential request
-/// latency percentiles), `"bench_serve"` (the pipelined mixed-endpoint
+/// write/load timings vs re-analysis), `"bench_serve"` (the pipelined mixed-endpoint
 /// load run: throughput plus p50/p99/p999), `"bench_external"` (the
 /// isolated external-classification stage), `"bench_plan"` (the
 /// reconfiguration-planning scenarios), and `"bench_incremental"` (cold
@@ -573,7 +481,6 @@ fn json_stages(indent: &str, t: &StageTimings) -> String {
 pub fn render_json(
     scales: &[ScaleBench],
     snap: Option<&SnapBench>,
-    serve: Option<&ServeBench>,
     serve_load: Option<&ServeLoadBench>,
     external: Option<&ExternalBench>,
     plan: Option<&[PlanBench]>,
@@ -595,13 +502,6 @@ pub fn render_json(
             json_ms(s.load),
             json_ms(s.analyze),
             s.speedup(),
-        ));
-    }
-    if let Some(s) = serve {
-        out.push_str(&format!(
-            "  \"serve\": {{\n    \"requests\": {},\n    \"p50_us\": {},\n    \
-             \"p99_us\": {},\n    \"throughput_rps\": {:.0}\n  }},\n",
-            s.requests, s.p50_us, s.p99_us, s.throughput_rps,
         ));
     }
     if let Some(l) = serve_load {
@@ -760,12 +660,6 @@ mod tests {
             load: Duration::from_millis(2),
             analyze: Duration::from_millis(40),
         };
-        let serve = ServeBench {
-            requests: 100,
-            p50_us: 180,
-            p99_us: 950,
-            throughput_rps: 5000.0,
-        };
         let external = ExternalBench {
             network: "net18".into(),
             routers: 1750,
@@ -816,7 +710,6 @@ mod tests {
         let text = render_json(
             &scales,
             Some(&snap),
-            Some(&serve),
             Some(&serve_load),
             Some(&external),
             Some(&plans),
@@ -826,8 +719,9 @@ mod tests {
         assert!(text.contains("\"parse\": 2.000"));
         assert!(text.contains("\"routers\": 7"));
         assert!(text.contains("\"load_speedup\": 20.0"));
-        assert!(text.contains("\"p99_us\": 950"));
+        assert!(text.contains("\"p99_us\": 210"));
         assert!(text.contains("\"bench_serve\""));
+        assert!(!text.contains("\"serve\""), "no sequential serve section");
         assert!(text.contains("\"throughput_rps\": 120000"));
         assert!(text.contains("\"p999_us\": 400"));
         assert!(text.contains("\"bench_external\""));
@@ -843,9 +737,8 @@ mod tests {
         assert_eq!(text.matches('[').count(), text.matches(']').count());
 
         // Without the optional sections the legacy shape is untouched.
-        let legacy = render_json(&scales, None, None, None, None, None, None);
+        let legacy = render_json(&scales, None, None, None, None, None);
         assert!(!legacy.contains("\"snap\""));
-        assert!(!legacy.contains("\"serve\""));
         assert!(!legacy.contains("\"bench_serve\""));
         assert!(!legacy.contains("\"bench_external\""));
         assert!(!legacy.contains("\"bench_plan\""));
@@ -874,16 +767,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_bench_measures_latency_percentiles() {
-        let networks = rd_bench_study_subset();
-        let (_, corpus) = bench_snapshot(networks);
-        let result = bench_serve(corpus, 20);
-        assert_eq!(result.requests, 20);
-        assert!(result.p50_us <= result.p99_us);
-        assert!(result.throughput_rps > 0.0);
-    }
-
-    #[test]
     fn serve_load_bench_runs_mixed_pipelined_traffic() {
         let networks = rd_bench_study_subset();
         let (_, corpus) = bench_snapshot(networks);
@@ -895,8 +778,7 @@ mod tests {
             paths: Vec::new(),
             connect_retries: 3,
         };
-        let (burst, stats) = bench_serve_with_load(corpus, 20, &load);
-        assert_eq!(burst.requests, 20);
+        let stats = bench_serve_with_load(corpus, &load);
         assert_eq!(stats.errors, 0, "load run saw errors");
         assert!(stats.requests >= stats.conns as u64 * stats.pipeline as u64);
         assert!(stats.p50_us <= stats.p99_us && stats.p99_us <= stats.p999_us);

@@ -1,8 +1,8 @@
-//! Fixed-seed sampled versions of the proptest suites in
-//! `tests/roundtrip.rs` and `tests/fuzz_tolerance.rs`: emit → parse
-//! round-trips on randomly generated well-formed models, plus
-//! never-panics fuzzing of the lexer/parser/anonymizer — all driven by a
-//! deterministic `rd_rng` stream so they run in every offline build.
+//! Fixed-seed property suite for the config grammar: emit → parse
+//! round-trips on randomly generated well-formed models covering every
+//! construct the emitter writes, plus never-panics fuzzing of the
+//! lexer/parser/anonymizer — all driven by a deterministic `rd_rng`
+//! stream so they run in every offline build.
 
 use ioscfg::{
     emit_config, parse_config, AccessList, AclAction, AclAddr, AclEntry, BgpProcess,
@@ -239,8 +239,7 @@ fn static_route(rng: &mut StdRng) -> StaticRoute {
     }
 }
 
-/// A well-formed random `RouterConfig`, mirroring the proptest
-/// `arb_config` strategy in `tests/roundtrip.rs`.
+/// A well-formed random `RouterConfig`.
 fn random_config(rng: &mut StdRng) -> RouterConfig {
     let mut cfg = RouterConfig {
         hostname: opt(rng, name),
@@ -295,8 +294,7 @@ fn emitted_text_is_stable() {
     }
 }
 
-/// Random config-looking text, mirroring `arb_configish` in
-/// `tests/fuzz_tolerance.rs`: biased toward real keywords so the fuzz
+/// Random config-looking text, biased toward real keywords so the fuzz
 /// reaches deep parser paths, not just the "unknown command" bailout.
 fn random_configish(rng: &mut StdRng) -> String {
     const WORDS: &[&str] = &[
@@ -304,15 +302,20 @@ fn random_configish(rng: &mut StdRng) -> String {
         "redistribute", "access-list", "route-map", "ip", "address", "permit", "deny",
         "match", "set", "area", "remote-as", "!",
     ];
+    // 1..=max decimal digits: leading zeros and octets above 255 included.
+    fn digits(rng: &mut StdRng, max: usize) -> String {
+        let n: usize = rng.gen_range(1..=max);
+        (0..n).map(|_| char::from(b'0' + rng.gen_range(0..10u8))).collect()
+    }
     let word = |rng: &mut StdRng| match rng.gen_range(0..23usize) {
         n if n < 20 => WORDS[n].to_string(),
-        20 => rng.gen_range(0..100_000u32).to_string(),
+        20 => digits(rng, 5),
         21 => format!(
             "{}.{}.{}.{}",
-            rng.gen_range(0..=255u32),
-            rng.gen_range(0..=255u32),
-            rng.gen_range(0..=255u32),
-            rng.gen_range(0..=255u32)
+            digits(rng, 3),
+            digits(rng, 3),
+            digits(rng, 3),
+            digits(rng, 3)
         ),
         _ => {
             const CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ!/.-";
@@ -377,11 +380,19 @@ fn parser_survives_arbitrary_text() {
         let n: usize = rng.gen_range(0..300);
         let text: String = (0..n)
             .map(|_| {
-                // Printable-ish unicode: ASCII plus some multibyte points.
-                match rng.gen_range(0..4usize) {
-                    0..=2 => char::from(rng.gen_range(0x20..0x7fu8)),
-                    _ => char::from_u32(rng.gen_range(0xa0..0x2000u32)).unwrap_or('ö'),
-                }
+                // Any non-control code point: mostly printable ASCII, the
+                // rest split between the BMP above the C1 controls (2- and
+                // 3-byte UTF-8, surrogates skipped) and the astral planes
+                // (4-byte UTF-8).
+                let code = match rng.gen_range(0..8usize) {
+                    0..=5 => rng.gen_range(0x20..0x7fu32),
+                    6 => match rng.gen_range(0xa0..0x10000 - 0x800u32) {
+                        c if c >= 0xd800 => c + 0x800,
+                        c => c,
+                    },
+                    _ => rng.gen_range(0x10000..=0x10ffffu32),
+                };
+                char::from_u32(code).expect("surrogates are skipped")
             })
             .collect();
         let _ = ioscfg::parse_config(&text);

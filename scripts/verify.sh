@@ -12,6 +12,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> cargo check: every target with every feature compiles offline"
+cargo check --workspace --all-targets --all-features --offline
+
 echo "==> cargo test -q"
 cargo test -q
 

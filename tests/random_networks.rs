@@ -4,8 +4,7 @@
 //! structural invariants must hold for any input.
 //!
 //! Driven by a fixed-seed `rd_rng` stream so the suite is deterministic
-//! and runs offline (this file previously used proptest; the sampled
-//! space is the same).
+//! and runs offline.
 
 use ioscfg::{InterfaceType, OspfProcess, Redistribution, RedistSource, RipProcess};
 use netgen::{AddressPlan, NetworkBuilder};
